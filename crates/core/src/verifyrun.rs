@@ -294,13 +294,21 @@ pub fn run_golden(options: &GoldenOptions) -> io::Result<GoldenRun> {
 }
 
 /// The `dide stats` documents snapshotted alongside the experiment tables:
-/// one CFI-elimination run, one oracle run on the baseline machine, and
-/// one clustered dead-steering run (elimination off, so every predicted
-/// verdict shows up as steering rather than squashing). Stats output is a
-/// pure function of the committed code (fixtures are deterministic and
-/// jobs-independent), so it goldens exactly like a table.
+/// one CFI-elimination run, one oracle run on the baseline machine, one
+/// clustered dead-steering run (elimination off, so every predicted
+/// verdict shows up as steering rather than squashing), and compress on
+/// four affinity-steered clusters behind a 4-cycle bypass, without and
+/// with CFI elimination — a run dense in full-IQ, no-free-register and
+/// per-cluster bypass stalls. Stats output is a pure function of the
+/// committed code (fixtures are deterministic and jobs-independent), so it
+/// goldens exactly like a table.
 fn stats_documents(only: Option<&[String]>) -> Vec<(String, String)> {
-    let docs: [(&str, RunSelection); 3] = [
+    let affinity = dide_pipeline::ClusterConfig {
+        clusters: 4,
+        bypass_penalty: 4,
+        steer: dide_pipeline::SteerPolicy::DependenceAffinity,
+    };
+    let docs: [(&str, RunSelection); 5] = [
         ("stats_expr.json", RunSelection { eliminate: true, ..RunSelection::default() }),
         (
             "stats_route.json",
@@ -319,6 +327,23 @@ fn stats_documents(only: Option<&[String]>) -> Vec<(String, String)> {
                     bypass_penalty: 2,
                     steer: dide_pipeline::SteerPolicy::DeadSteer,
                 }),
+                ..RunSelection::default()
+            },
+        ),
+        (
+            "stats_compress_clustered_affinity.json",
+            RunSelection {
+                benchmark: "compress".to_string(),
+                cluster: Some(affinity),
+                ..RunSelection::default()
+            },
+        ),
+        (
+            "stats_compress_clustered_affinity_cfi.json",
+            RunSelection {
+                benchmark: "compress".to_string(),
+                eliminate: true,
+                cluster: Some(affinity),
                 ..RunSelection::default()
             },
         ),

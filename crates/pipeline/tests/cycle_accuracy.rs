@@ -277,3 +277,63 @@ fn dead_steering_under_a_full_cheap_cluster_iq_is_cycle_exact() {
     assert_eq!(stats.dead_predicted, 0);
     assert!(stats.invariant_violations().is_empty(), "{:?}", stats.invariant_violations());
 }
+
+/// A loop of cold loads, each feeding a serial chain of `chain` dependent
+/// `addi`s: every load walks a fresh 64-byte line of a zeroed array, so it
+/// misses the L1D and the L2 and waits out the full memory latency while
+/// its chain backs up behind it in the issue queue.
+fn missing_loads_feeding_chains(chain: usize, iters: i64) -> Trace {
+    let mut b = ProgramBuilder::new("misschain");
+    let array = b.data_zeros(64 * iters as usize);
+    b.li_u64(Reg::T3, array);
+    b.li(Reg::T0, 0);
+    b.li(Reg::T1, iters);
+    b.li(Reg::T4, 0);
+    let top = b.label();
+    b.bind(top);
+    b.ld(Reg::T2, Reg::T3, 0);
+    for _ in 0..chain {
+        b.addi(Reg::T2, Reg::T2, 1);
+    }
+    b.add(Reg::T4, Reg::T4, Reg::T2);
+    b.addi(Reg::T3, Reg::T3, 64);
+    b.addi(Reg::T0, Reg::T0, 1);
+    b.blt(Reg::T0, Reg::T1, top);
+    b.out(Reg::T4);
+    b.halt();
+    Emulator::new(&b.build().unwrap()).run().unwrap()
+}
+
+#[test]
+fn memory_missing_loads_feeding_round_robined_chains_are_cycle_exact() {
+    // Round-robin over two clusters alternates the links of each chain
+    // between the clusters, so every link behind a missing load waits out
+    // the 4-cycle bypass. Meanwhile the chains fill both 8-entry IQ slices
+    // (64 physical registers keep the free list from binding first, bar a
+    // handful of cycles), and rename stalls on them for most of each
+    // memory round-trip. These long idle windows — full IQ, nothing ready,
+    // completions and remote wakeups far off — are exactly the ones an
+    // idle-cycle skip-ahead jumps over.
+    let trace = missing_loads_feeding_chains(6, 40);
+    let mut cfg = PipelineConfig::clustered(ClusterConfig {
+        clusters: 2,
+        bypass_penalty: 4,
+        steer: SteerPolicy::RoundRobin,
+    });
+    cfg.phys_regs = 64;
+    let stats = run(&trace, cfg);
+    assert_eq!(stats.committed, trace.len() as u64);
+    assert_eq!(stats.memory.memory_accesses, 42, "40 cold data lines + 2 instruction lines");
+    assert_eq!(stats.cycles, 1920, "cycles");
+    assert_eq!(stats.fetch_stall_cycles, 1860, "fetch stall cycles");
+    assert_eq!(stats.iq_full_stalls, 1692, "IQ-full stalls");
+    assert_eq!(stats.no_phys_stalls, 5, "no-free-register stalls");
+    assert_eq!(stats.iq_occupancy_sum, 27677, "IQ occupancy sum");
+    assert_eq!(stats.clusters[0].bypass_stalls, 192, "cluster 0 bypass stalls");
+    assert_eq!(stats.clusters[1].bypass_stalls, 192, "cluster 1 bypass stalls");
+    // Each miss costs ~95 cycles (L1D + L2 + memory), so the run is
+    // latency-bound at 48 cycles per iteration, most of them with rename
+    // blocked on a full IQ.
+    assert!(stats.iq_full_stalls > stats.cycles * 3 / 4, "IQ-bound");
+    assert!(stats.invariant_violations().is_empty(), "{:?}", stats.invariant_violations());
+}
