@@ -3,6 +3,7 @@
 #
 #   ./ci.sh            # fmt + clippy + tier-1 (release build + full tests)
 #                      # + differential verify + golden tables
+#                      # + smoke stages + perfbench self-test
 #   ./ci.sh --deep     # same, with 256 property-test cases per property
 #                      # and a 256-seed verify sweep
 #
@@ -120,7 +121,8 @@ echo "== clustered backend smoke (E18 + steering determinism) =="
 # stats export, and a clustered campaign grid must stay byte-identical
 # across --jobs values (the steering decision is part of the canonical
 # job, so any scheduler-order dependence would show up here).
-cargo run --release --bin dide -- verify --golden --only e18,stats_expr_clustered.json
+cargo run --release --bin dide -- verify --golden \
+  --only e18,stats_expr_clustered.json,stats_compress_clustered_affinity.json,stats_compress_clustered_affinity_cfi.json
 CLUSTER_GRID="--benchmarks expr,route --machines contended,clustered --elims off,cfi"
 DIDE=./target/release/dide
 rm -f cluster.ci1.jsonl cluster.ci1.jsonl.cursor cluster.ci4.jsonl cluster.ci4.jsonl.cursor
@@ -152,5 +154,11 @@ if ( ulimit -v "${STREAM_VM_KB}"; "${DIDE}" run expr --scale 16 > /dev/null 2>&1
   exit 1
 fi
 echo "streamed expr@s16 fits in ${STREAM_VM_KB} KiB; materializing path does not"
+
+echo "== perfbench self-test (the repository benchmark still builds and runs) =="
+# perfbench is a Cargo package of its own that drives dide-pipeline and
+# the campaign engine through their public APIs; an API change that breaks
+# it fails here rather than in a benchmark run.
+cargo test --offline --manifest-path perfbench/Cargo.toml
 
 echo "CI gate passed."

@@ -260,7 +260,7 @@ pub struct ClusterOverhead {
 
 impl ClusterOverhead {
     /// Dead-steer-over-unified host wall-clock ratio (1.0 when `unified`
-    /// was too fast to time): what the clustered loop costs the *host*,
+    /// was too fast to time): what clustered scheduling costs the *host*,
     /// not the simulated machine.
     #[must_use]
     pub fn host_overhead(&self) -> f64 {

@@ -145,11 +145,12 @@ impl SteerPolicy {
 }
 
 /// Clustered-backend configuration: the issue queue and function units are
-/// partitioned into `clusters` slices, and a value produced in one cluster
+/// divided into `clusters` slices, and a value produced in one cluster
 /// becomes visible to consumers in another only `bypass_penalty` cycles
 /// after its local writeback (DESIGN.md §11). Memory ordering (LSQ) and
 /// the register-file storage itself stay global; only operand *forwarding*
-/// pays the inter-cluster penalty.
+/// pays the inter-cluster penalty. The unified backend (`cluster: None`)
+/// runs as one cluster with no penalty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClusterConfig {
     /// Execution clusters (1..=8). Each gets `iq_entries / clusters` issue
@@ -260,9 +261,13 @@ impl PipelineConfig {
         }
     }
 
-    /// The contended machine with its backend split into clusters: the
-    /// same global resources, partitioned, plus an inter-cluster bypass
-    /// penalty. The `dide run/stats/campaign` `clustered` machine axis.
+    /// The contended machine with its backend split into clusters, plus an
+    /// inter-cluster bypass penalty. The issue queue and function units are
+    /// divided among the clusters, but each share is floored at one entry
+    /// or unit, so a scarce unit is replicated rather than split: two
+    /// clusters hold two memory ports, two multipliers and two dividers
+    /// against the unified contended machine's one of each (DESIGN.md §11).
+    /// The `dide run/stats/campaign` `clustered` machine axis.
     #[must_use]
     pub fn clustered(cluster: ClusterConfig) -> PipelineConfig {
         PipelineConfig { cluster: Some(cluster), ..PipelineConfig::contended() }
@@ -287,7 +292,8 @@ impl PipelineConfig {
     /// # Panics
     ///
     /// Panics if widths are zero, the physical register file cannot cover
-    /// the architectural registers, or queues are empty.
+    /// the architectural registers, queues are empty, the cluster count is
+    /// outside 1..=8, or an issue-queue slice would exceed 64 entries.
     pub fn validate(&self) {
         assert!(self.fetch_width > 0 && self.rename_width > 0, "widths must be positive");
         assert!(self.issue_width > 0 && self.commit_width > 0, "widths must be positive");
@@ -301,19 +307,15 @@ impl PipelineConfig {
         assert!(self.fetch_buffer >= self.fetch_width, "fetch buffer too small");
         assert!(self.fu.alus > 0 && self.fu.mem_ports > 0, "need ALUs and memory ports");
         assert!(self.fu.muls > 0 && self.fu.divs > 0, "need multiplier and divider");
-        if let Some(cluster) = self.cluster {
-            assert!(
-                (1..=8).contains(&cluster.clusters),
-                "need 1..=8 execution clusters, got {}",
-                cluster.clusters
-            );
-            // Per-cluster IQ slices are floored at one entry, so a slice
-            // can only exceed the bitmap cap when the global queue does.
-            assert!(
-                self.iq_entries.div_euclid(cluster.clusters).max(1) <= 64,
-                "per-cluster issue-queue slice capped at 64 entries"
-            );
-        }
+        // The unified machine is the one-cluster case, so every machine
+        // splits its issue queue into slices floored at one entry: a slice
+        // exceeds the IQ bitmap cap only when the whole queue does.
+        let clusters = self.cluster.map_or(1, |c| c.clusters);
+        assert!((1..=8).contains(&clusters), "need 1..=8 execution clusters, got {clusters}");
+        assert!(
+            (self.iq_entries / clusters).max(1) <= 64,
+            "per-cluster issue-queue slice capped at 64 entries"
+        );
     }
 }
 
@@ -378,6 +380,14 @@ mod tests {
             PipelineConfig::clustered(ClusterConfig { clusters: n, ..ClusterConfig::default() })
                 .validate();
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "capped at 64")]
+    fn oversized_unified_issue_queue_panics() {
+        let mut cfg = PipelineConfig::baseline();
+        cfg.iq_entries = 65;
+        cfg.validate();
     }
 
     #[test]

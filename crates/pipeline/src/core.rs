@@ -1,7 +1,13 @@
 //! The cycle loop: rename, dispatch, issue, execute, commit — with
-//! dead-instruction elimination.
+//! dead-instruction elimination — over one or more execution clusters.
+//!
+//! Each cluster owns an issue-queue slice and a function-unit pool; the
+//! unified machine (`cluster: None`) is the one-cluster case. The ROB,
+//! rename map, free list, commit stage, load/store queues and physical
+//! register storage stay global on every machine (DESIGN.md §11).
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 use dide_analysis::{DeadnessAnalysis, StreamedDeadness, Verdict};
 use dide_emu::{MemAccess, PagedShadow, Trace, TraceStream};
@@ -11,17 +17,17 @@ use dide_obs::EventKind;
 use dide_predictor::dead::{CfiDeadPredictor, DeadPredictor, OracleDeadPredictor, PredictInput};
 use dide_predictor::future::CfSignature;
 
-use crate::config::{EliminationPolicy, PipelineConfig};
+use crate::config::{EliminationPolicy, FuConfig, PipelineConfig, SteerPolicy};
 use crate::frontend::{FetchBlock, Frontend};
 use crate::fu::{FuClass, FuPool};
 use crate::iq::{IqEntry, IssueQueue};
 use crate::lsq::LoadStoreQueues;
-use crate::predecode::predecode;
-use crate::regfile::PhysRegFile;
+use crate::predecode::{predecode, PreDec};
+use crate::regfile::{PhysReg, PhysRegFile};
 use crate::rename::{Mapping, RenameMap};
 use crate::rob::{DestInfo, Rob, RobEntry};
 use crate::source::RecordSource;
-use crate::stats::PipelineStats;
+use crate::stats::{ClusterStats, PipelineStats, SteerStats};
 use crate::wheel::{Completion, CompletionQueue};
 
 /// The out-of-order core.
@@ -32,7 +38,8 @@ pub struct Core {
     config: PipelineConfig,
 }
 
-/// Which rename-blocking stall counter a skipped idle cycle replicates.
+/// A structural resource that blocks rename, naming the stall counter it
+/// bumps — once per blocked attempt, or once per skipped idle cycle.
 #[derive(Debug, Clone, Copy)]
 enum RenameStall {
     RobFull,
@@ -41,9 +48,126 @@ enum RenameStall {
     NoPhys,
 }
 
+impl RenameStall {
+    /// What blocks dispatching `pre` into an issue-queue slice that is or
+    /// is not full, checked in rename's order: IQ, LSQ, free register.
+    fn dispatch(
+        iq_full: bool,
+        pre: &PreDec,
+        lsq: &LoadStoreQueues,
+        regs: &PhysRegFile,
+    ) -> Option<RenameStall> {
+        if iq_full {
+            Some(RenameStall::IqFull)
+        } else if (pre.is_load && lsq.lq_full()) || (pre.is_store && lsq.sq_full()) {
+            Some(RenameStall::LsqFull)
+        } else if pre.dest.is_some() && regs.free_count() == 0 {
+            Some(RenameStall::NoPhys)
+        } else {
+            None
+        }
+    }
+
+    fn counter(self, stats: &mut PipelineStats) -> &mut u64 {
+        match self {
+            RenameStall::RobFull => &mut stats.rob_full_stalls,
+            RenameStall::IqFull => &mut stats.iq_full_stalls,
+            RenameStall::LsqFull => &mut stats.lsq_full_stalls,
+            RenameStall::NoPhys => &mut stats.no_phys_stalls,
+        }
+    }
+}
+
+/// A pending cross-cluster wakeup: at `cycle`, generation `gen` of register
+/// `reg` becomes visible to cluster `cluster`. Ordered by the full tuple so
+/// the calendar drains deterministically.
+type RemoteWakeup = Reverse<(u64, u16, u32, u8)>;
+
+/// The delayed inter-cluster bypass network: a value wakes its producing
+/// cluster's consumers at writeback and every other cluster's `penalty`
+/// cycles later. It exists only with several clusters and a nonzero
+/// penalty; otherwise every cluster sees a value at writeback, so operand
+/// visibility is the register file's global ready bit.
+struct Bypass {
+    penalty: u64,
+    /// Per physical register, one bit per cluster (at most 8) that its
+    /// current value is visible to.
+    visible: Vec<u8>,
+    /// Allocation generation per physical register. A register can be
+    /// freed at commit and re-allocated while a remote wakeup for its
+    /// previous value is still in flight; the generation check discards
+    /// exactly those stale events.
+    gen: Vec<u32>,
+    /// Remote wakeups in flight.
+    calendar: BinaryHeap<RemoteWakeup>,
+}
+
+impl Bypass {
+    fn new(penalty: u32, phys_regs: usize) -> Bypass {
+        let mut visible = vec![0; phys_regs];
+        visible[..Reg::COUNT].fill(u8::MAX);
+        Bypass {
+            penalty: u64::from(penalty),
+            visible,
+            gen: vec![0; phys_regs],
+            calendar: BinaryHeap::new(),
+        }
+    }
+
+    fn is_visible(&self, cluster: usize, p: PhysReg) -> bool {
+        self.visible[p.0 as usize] & (1 << cluster) != 0
+    }
+
+    /// Makes `p` visible to `cluster` and wakes that cluster's waiters on
+    /// it; returns how many woke.
+    fn deliver(&mut self, cluster: usize, p: PhysReg, iq: &mut IssueQueue) -> u32 {
+        self.visible[p.0 as usize] |= 1 << cluster;
+        iq.wakeup(p)
+    }
+
+    /// Allocation: the new value is visible to `clusters` (a bitmask), and
+    /// any remote wakeup still in flight for the register's previous value
+    /// goes stale.
+    fn on_alloc(&mut self, p: PhysReg, clusters: u8) {
+        self.visible[p.0 as usize] = clusters;
+        self.gen[p.0 as usize] = self.gen[p.0 as usize].wrapping_add(1);
+    }
+
+    /// Writeback of `p` produced in cluster `home`: local consumers wake
+    /// now, every other cluster's after the penalty.
+    fn writeback(&mut self, p: PhysReg, home: usize, now: u64, iqs: &mut [IssueQueue]) {
+        self.deliver(home, p, &mut iqs[home]);
+        let gen = self.gen[p.0 as usize];
+        for k in (0..iqs.len()).filter(|&k| k != home) {
+            self.calendar.push(Reverse((now + self.penalty, p.0, gen, k as u8)));
+        }
+    }
+
+    /// Delivers the remote wakeups due at `now`, charging each waiter they
+    /// wake as one bypass stall of its cluster.
+    fn drain_due(&mut self, now: u64, iqs: &mut [IssueQueue], clusters: &mut [ClusterStats]) {
+        while let Some(&Reverse((cycle, reg, gen, k))) = self.calendar.peek() {
+            if cycle > now {
+                break;
+            }
+            self.calendar.pop();
+            if self.gen[reg as usize] == gen {
+                let k = usize::from(k);
+                let woken = self.deliver(k, PhysReg(reg), &mut iqs[k]);
+                clusters[k].bypass_stalls += u64::from(woken);
+            }
+        }
+    }
+
+    /// The cycle of the earliest remote wakeup in flight.
+    fn next_cycle(&self) -> Option<u64> {
+        self.calendar.peek().map(|&Reverse((cycle, ..))| cycle)
+    }
+}
+
 /// Marks `seq` (stored as `seq + 1`; 0 = no owner) as the last store to
 /// claim each byte of `mem` in the core's rename-order shadow table.
-pub(crate) fn claim_store_bytes(shadow: &mut PagedShadow<u64>, seq: u64, mem: MemAccess) {
+fn claim_store_bytes(shadow: &mut PagedShadow<u64>, seq: u64, mem: MemAccess) {
     let len = mem.width.bytes();
     let claimed = seq + 1;
     if !PagedShadow::<u64>::crosses_page(mem.addr, len) {
@@ -66,7 +190,7 @@ pub(crate) fn claim_store_bytes(shadow: &mut PagedShadow<u64>, seq: u64, mem: Me
 /// and removing an absent seq is a no-op — scanning the bytes in order
 /// (skipping consecutive duplicates) removes exactly the same store, or
 /// none, as the producer-table walk did.
-pub(crate) fn take_eliminated_producer(
+fn take_eliminated_producer(
     shadow: &PagedShadow<u64>,
     eliminated: &mut HashSet<u64>,
     mem: MemAccess,
@@ -223,6 +347,7 @@ impl Core {
     /// even when the trace itself is streamed — and supplies the trace
     /// length, the oracle predictor's answers, and commit-time training
     /// labels.
+    #[allow(clippy::too_many_lines)]
     fn run_loop(
         &self,
         program: &Program,
@@ -230,18 +355,23 @@ impl Core {
         verdicts: &[Verdict],
         mut events: Option<&mut dide_obs::EventTrace>,
     ) -> PipelineStats {
-        if self.config.cluster.is_some() {
-            return crate::cluster::run_loop_clustered(
-                &self.config,
-                program,
-                source,
-                verdicts,
-                events,
-            );
-        }
         let cfg = &self.config;
         let total = verdicts.len() as u64;
-        let predec = predecode(program, cfg);
+        let (n, penalty, policy) = match cfg.cluster {
+            Some(c) => (c.clusters, c.bypass_penalty, c.steer),
+            None => (1, 0, SteerPolicy::RoundRobin),
+        };
+        let elim_on = cfg.dead.policy.enabled();
+        // `DeadSteer` without elimination still needs dead predictions — to
+        // steer on, not to squash on. Predecode eligibility (which drives
+        // signatures, prediction and commit-time training) is computed under
+        // the full policy; the actual `cfg.dead.policy` stays `Off`, so
+        // nothing is ever eliminated and no dead-tag mapping can exist.
+        let mut effective = *cfg;
+        if policy == SteerPolicy::DeadSteer && !elim_on {
+            effective.dead.policy = EliminationPolicy::RegAndStore;
+        }
+        let predec = predecode(program, &effective);
         let track_stores = cfg.dead.policy.covers_stores();
 
         let mut stats = PipelineStats::default();
@@ -250,9 +380,24 @@ impl Core {
         let mut regs = PhysRegFile::new(cfg.phys_regs, Reg::COUNT);
         let mut map = RenameMap::new();
         let mut rob = Rob::new(cfg.rob_entries);
-        let mut iq = IssueQueue::new(cfg.iq_entries, cfg.phys_regs);
         let mut lsq = LoadStoreQueues::new(cfg.lq_entries, cfg.sq_entries);
-        let mut fus = FuPool::new(cfg.fu);
+        // Per-cluster slices of the issue queue and the function units,
+        // each floored at one entry or unit.
+        let mut iqs = vec![IssueQueue::new((cfg.iq_entries / n).max(1), cfg.phys_regs); n];
+        let fu = FuConfig {
+            alus: (cfg.fu.alus / n).max(1),
+            muls: (cfg.fu.muls / n).max(1),
+            divs: (cfg.fu.divs / n).max(1),
+            mem_ports: (cfg.fu.mem_ports / n).max(1),
+            ..cfg.fu
+        };
+        let mut fus = vec![FuPool::new(fu); n];
+        let mut bypass = (n > 1 && penalty > 0).then(|| Bypass::new(penalty, cfg.phys_regs));
+        // Cluster that produces (or last produced) each register's value.
+        let mut producer = vec![0u8; cfg.phys_regs];
+        // Exported only by a clustered machine.
+        let mut clusters = vec![ClusterStats::default(); n];
+        let mut steering = SteerStats::default();
         let mut predictor: Box<dyn DeadPredictor> = if cfg.dead.oracle {
             Box::new(OracleDeadPredictor::from_verdicts(verdicts))
         } else {
@@ -266,8 +411,11 @@ impl Core {
         // retained producer table from the analysis.
         let mut store_shadow: PagedShadow<u64> = PagedShadow::new();
         let mut rename_stalled_until = 0u64;
-        // Scratch for issue select, reused across cycles.
-        let mut ready_scratch: Vec<(u64, u32)> = Vec::new();
+        // Round-robin steering cursor, advanced only on a dispatch it
+        // placed, so stalled attempts do not skew the rotation.
+        let mut rr = 0usize;
+        // Issue candidates (seq, slot, cluster), reused across cycles.
+        let mut ready_scratch: Vec<(u64, u32, u8)> = Vec::new();
 
         let mut committed = 0u64;
         let mut now = 0u64;
@@ -277,17 +425,26 @@ impl Core {
             assert!(
                 now < deadlock_guard,
                 "pipeline deadlock: {committed}/{total} committed after {now} cycles \
-                 (rob {}/{}, iq {}/{}, lq {}/{}, sq {}/{}, free regs {})",
+                 (rob {}/{}, iq {:?} of {}, lq {}/{}, sq {}/{}, free regs {}, remote wakeups {})",
                 rob.len(),
                 cfg.rob_entries,
-                iq.len(),
+                iqs.iter().map(IssueQueue::len).collect::<Vec<_>>(),
                 cfg.iq_entries,
                 lsq.lq_len(),
                 cfg.lq_entries,
                 lsq.sq_len(),
                 cfg.sq_entries,
                 regs.free_count(),
+                bypass.as_ref().map_or(0, |b| b.calendar.len()),
             );
+
+            // ---- cross-cluster wakeups due this cycle ----
+            // Drained before writeback: every due event was scheduled at
+            // least one cycle ago (penalty >= 1), so the two never race
+            // within a cycle.
+            if let Some(b) = &mut bypass {
+                b.drain_due(now, &mut iqs, &mut clusters);
+            }
 
             // ---- writeback: drain completions due this cycle ----
             // `pop_due` yields same-cycle completions in ascending seq
@@ -296,8 +453,17 @@ impl Core {
                 rob.complete(c.seq);
                 if let Some(p) = c.dest {
                     regs.set_ready(p);
-                    iq.wakeup(p);
                     stats.rf_writes += 1;
+                    match &mut bypass {
+                        Some(b) => {
+                            b.writeback(p, usize::from(producer[p.0 as usize]), now, &mut iqs)
+                        }
+                        None => {
+                            for iq in &mut iqs {
+                                iq.wakeup(p);
+                            }
+                        }
+                    }
                 }
                 if c.is_store {
                     lsq.store_executed(c.seq);
@@ -335,6 +501,12 @@ impl Core {
                         hierarchy.access_data(mem.addr, true);
                     }
                 }
+                // Audit dead-steering against the oracle: a live instruction
+                // routed to the cheap cluster paid latency it should not
+                // have. Zero by construction under the oracle predictor.
+                if e.steered_dead && !verdicts[e.seq as usize].is_dead() {
+                    steering.dead_wrong += 1;
+                }
                 if e.eligible {
                     let was_dead = verdicts[e.seq as usize].is_dead();
                     let input = PredictInput {
@@ -359,61 +531,65 @@ impl Core {
             source.release_before(committed);
 
             // ---- issue / execute ----
+            // Select visits only *ready* entries, oldest first across every
+            // cluster under the global issue width. Each slice lists its
+            // ready entries in age order, so only a merge of several slices
+            // needs a sort.
             let mut issued = 0usize;
-            fus.begin_cycle();
-            if iq.ready_count() > 0 {
-                // Select visits only *ready* entries, oldest first — the
-                // queue's age list yields them already in sequence order.
-                ready_scratch.clear();
-                iq.collect_ready(&mut ready_scratch);
-                for &(seq, slot) in &ready_scratch {
-                    if issued == cfg.issue_width {
-                        break;
-                    }
-                    // FU availability first: it is a pure counter check,
-                    // and skipping it saves the (pricier) LSQ probe for
-                    // loads once the memory ports are exhausted. The probe
-                    // is side-effect-free, so swapping the check order
-                    // changes no outcome.
-                    let e = iq.entry(slot);
-                    let fu = e.fu;
-                    if !fus.can_issue(fu, now) {
-                        continue;
-                    }
-                    let is_load = e.is_load;
-                    if is_load {
-                        let mem = source.get(seq).mem().expect("loads carry an access");
-                        if !lsq.load_may_issue(seq, mem) {
-                            continue;
-                        }
-                    }
-                    let base_latency = fus.try_issue(fu, now).expect("availability checked above");
-                    let latency = if is_load {
-                        let mem = source.get(seq).mem().expect("loads carry an access");
-                        // The cache is probed either way; a store-to-load
-                        // forward shortcuts the latency.
+            ready_scratch.clear();
+            for (k, (iq, fus)) in iqs.iter().zip(&mut fus).enumerate() {
+                fus.begin_cycle();
+                iq.collect_ready(k as u8, &mut ready_scratch);
+            }
+            if n > 1 {
+                ready_scratch.sort_unstable_by_key(|&(seq, ..)| seq);
+            }
+            for &(seq, slot, k) in &ready_scratch {
+                if issued == cfg.issue_width {
+                    break;
+                }
+                // FU availability first: it is a pure counter check, and
+                // skipping it saves the (pricier) LSQ probe for loads once
+                // the memory ports are exhausted. The probe is
+                // side-effect-free, so swapping the check order changes no
+                // outcome.
+                let k = usize::from(k);
+                let e = iqs[k].entry(slot);
+                let fu = e.fu;
+                if !fus[k].can_issue(fu, now) {
+                    continue;
+                }
+                let mem = e.is_load.then(|| source.get(seq).mem().expect("loads carry an access"));
+                if mem.is_some_and(|mem| !lsq.load_may_issue(seq, mem)) {
+                    continue;
+                }
+                let base_latency = fus[k].try_issue(fu, now).expect("availability checked above");
+                let latency = match mem {
+                    // The cache is probed either way; a store-to-load
+                    // forward shortcuts the latency.
+                    Some(mem) => {
                         let access = hierarchy.access_data(mem.addr, false);
                         if lsq.load_forwards(seq, mem) {
                             2
                         } else {
                             1 + access
                         }
-                    } else {
-                        base_latency // store: address generation only
-                    };
-                    stats.rf_reads += e.srcs.iter().flatten().count() as u64;
-                    completions.push(Completion {
-                        cycle: now + u64::from(latency),
-                        seq,
-                        dest: e.dest,
-                        is_store: fu == FuClass::Mem && !is_load,
-                    });
-                    iq.remove(slot);
-                    issued += 1;
-                }
+                    }
+                    None => base_latency, // store: address generation only
+                };
+                stats.rf_reads += e.srcs.iter().flatten().count() as u64;
+                completions.push(Completion {
+                    cycle: now + u64::from(latency),
+                    seq,
+                    dest: e.dest,
+                    is_store: fu == FuClass::Mem && !e.is_load,
+                });
+                iqs[k].remove(slot);
+                clusters[k].issued += 1;
+                issued += 1;
             }
 
-            // ---- rename / dispatch ----
+            // ---- rename / dispatch / steer ----
             if now >= rename_stalled_until {
                 'rename: for _ in 0..cfg.rename_width {
                     let Some(seq) = frontend.peek_ready(now) else { break };
@@ -434,10 +610,15 @@ impl Core {
                         CfSignature::empty()
                     };
                     let input = PredictInput { seq, static_index: r.index, signature };
-                    let eliminate = eligible && predictor.predict(&input);
+                    let predicted_dead = eligible && predictor.predict(&input);
+                    // With elimination on, a dead prediction squashes (the
+                    // paper's mechanism); with it off under `DeadSteer`, the
+                    // same prediction steers to the cheap cluster instead.
+                    let eliminate = predicted_dead && elim_on;
+                    let steer_dead = predicted_dead && !elim_on;
                     if eligible {
                         if let Some(tr) = events.as_deref_mut() {
-                            tr.record(now, EventKind::Verdict { seq, predicted_dead: eliminate });
+                            tr.record(now, EventKind::Verdict { seq, predicted_dead });
                         }
                     }
 
@@ -446,6 +627,7 @@ impl Core {
                         // Map sources, detecting dead-tag violations (this
                         // instruction actually reads its sources) in the
                         // same pass.
+                        let mut violated = false;
                         for (i, &src) in pre.srcs.iter().flatten().enumerate() {
                             match map.get(src) {
                                 Mapping::Phys(p) => srcs[i] = Some(p),
@@ -458,48 +640,52 @@ impl Core {
                                         break 'rename;
                                     };
                                     stats.phys_allocs += 1;
+                                    // The value materializes outside any
+                                    // cluster's datapath: ready and visible
+                                    // everywhere at once, like the initial
+                                    // architectural mappings.
                                     regs.set_ready(p);
+                                    if let Some(b) = &mut bypass {
+                                        b.on_alloc(p, u8::MAX);
+                                    }
                                     // No in-flight entry can reference a reg
                                     // straight off the free list, but keep the
                                     // set_ready → wakeup pairing uniform.
-                                    iq.wakeup(p);
-                                    map.set(src, Mapping::Phys(p));
-                                    stats.dead_violations += 1;
-                                    if let Some(tr) = events.as_deref_mut() {
-                                        tr.record(now, EventKind::Violation { seq });
+                                    for iq in &mut iqs {
+                                        iq.wakeup(p);
                                     }
-                                    rename_stalled_until =
-                                        now + u64::from(cfg.dead.violation_penalty);
-                                    break 'rename;
+                                    map.set(src, Mapping::Phys(p));
+                                    violated = true;
+                                    break;
                                 }
                             }
                         }
                         // Loads can also trip over eliminated stores. (The
                         // emptiness guard keeps elimination-off runs from
                         // probing the shadow on every load.)
-                        if is_load && !eliminated_stores.is_empty() {
-                            let mem = r.mem().expect("loads carry an access");
-                            if take_eliminated_producer(&store_shadow, &mut eliminated_stores, mem)
-                            {
-                                stats.dead_violations += 1;
-                                if let Some(tr) = events.as_deref_mut() {
-                                    tr.record(now, EventKind::Violation { seq });
-                                }
-                                rename_stalled_until = now + u64::from(cfg.dead.violation_penalty);
-                                break 'rename;
+                        violated = violated
+                            || (is_load
+                                && !eliminated_stores.is_empty()
+                                && take_eliminated_producer(
+                                    &store_shadow,
+                                    &mut eliminated_stores,
+                                    r.mem().expect("loads carry an access"),
+                                ));
+                        if violated {
+                            stats.dead_violations += 1;
+                            if let Some(tr) = events.as_deref_mut() {
+                                tr.record(now, EventKind::Violation { seq });
                             }
+                            rename_stalled_until = now + u64::from(cfg.dead.violation_penalty);
+                            break;
                         }
                     }
 
-                    if eliminate {
+                    let dest_info = if eliminate {
                         // The instruction vanishes: no physical register,
-                        // no issue-queue slot, no execution, no cache
-                        // access. It retires through the ROB for precise
-                        // state and trains the predictor at commit.
-                        let dest_info = dest.map(|arch| {
-                            let prev = map.set(arch, Mapping::Dead(seq));
-                            DestInfo { prev }
-                        });
+                        // no issue-queue slot in any cluster, no execution,
+                        // no cache access. It retires through the ROB for
+                        // precise state and trains the predictor at commit.
                         stats.savings.phys_allocs_saved += u64::from(dest.is_some());
                         stats.savings.iq_slots_saved += 1;
                         stats.savings.rf_writes_saved += u64::from(dest.is_some());
@@ -521,74 +707,87 @@ impl Core {
                         if let Some(tr) = events.as_deref_mut() {
                             tr.record(now, EventKind::Eliminated { seq });
                         }
-                        stats.dispatched += 1;
-                        rob.push(RobEntry {
-                            seq,
-                            dest: dest_info,
-                            eliminated: true,
-                            completed: true,
-                            is_load,
-                            is_store,
-                            is_cond_branch: pre.is_cond_branch,
-
-                            eligible,
-                            steered_dead: false,
-                            signature,
-                        });
-                        frontend.pop(seq);
-                        continue;
-                    }
-
-                    // Normal dispatch: check resources, then allocate.
-                    if iq.is_full() {
-                        stats.iq_full_stalls += 1;
-                        break;
-                    }
-                    if is_load && lsq.lq_full() {
-                        stats.lsq_full_stalls += 1;
-                        break;
-                    }
-                    if is_store && lsq.sq_full() {
-                        stats.lsq_full_stalls += 1;
-                        break;
-                    }
-                    let mut dest_phys = None;
-                    if dest.is_some() && regs.free_count() == 0 {
-                        stats.no_phys_stalls += 1;
-                        break;
-                    }
-
-                    let dest_info = dest.map(|arch| {
-                        let p = regs.alloc().expect("free count checked above");
-                        stats.phys_allocs += 1;
-                        dest_phys = Some(p);
-                        let prev = map.set(arch, Mapping::Phys(p));
-                        DestInfo { prev }
-                    });
-
-                    if is_load {
-                        lsq.push_load(seq);
-                    }
-                    if is_store {
-                        let mem = r.mem().expect("stores carry an access");
-                        lsq.push_store(seq, mem);
-                        if track_stores {
-                            claim_store_bytes(&mut store_shadow, seq, mem);
+                        steering.squashed += 1;
+                        dest.map(|arch| DestInfo { prev: map.set(arch, Mapping::Dead(seq)) })
+                    } else {
+                        // Steering picks the target cluster before the
+                        // structural checks, which are then per-cluster for
+                        // the issue queue.
+                        let (cluster, rotated) = match policy {
+                            _ if n == 1 => (0, false),
+                            _ if steer_dead => (n - 1, false),
+                            SteerPolicy::RoundRobin => (rr % n, true),
+                            // Follow the cluster producing the first still
+                            // in-flight source; nothing in flight means no
+                            // forward to save, so fall back to rotation.
+                            SteerPolicy::DependenceAffinity => {
+                                match srcs.iter().flatten().find(|p| !regs.is_ready(**p)) {
+                                    Some(p) => (usize::from(producer[p.0 as usize]), false),
+                                    None => (rr % n, true),
+                                }
+                            }
+                            // Live instructions rotate over all but the
+                            // cheap cluster.
+                            SteerPolicy::DeadSteer => (rr % (n - 1), true),
+                        };
+                        if let Some(stall) =
+                            RenameStall::dispatch(iqs[cluster].is_full(), pre, &lsq, &regs)
+                        {
+                            *stall.counter(&mut stats) += 1;
+                            break;
                         }
-                    }
-                    iq.push(IqEntry { seq, srcs, fu: pre.fu, is_load, dest: dest_phys }, &regs);
+                        let mut dest_phys = None;
+                        let dest_info = dest.map(|arch| {
+                            let p = regs.alloc().expect("free count checked above");
+                            stats.phys_allocs += 1;
+                            producer[p.0 as usize] = cluster as u8;
+                            if let Some(b) = &mut bypass {
+                                b.on_alloc(p, 0);
+                            }
+                            dest_phys = Some(p);
+                            DestInfo { prev: map.set(arch, Mapping::Phys(p)) }
+                        });
+                        if is_load {
+                            lsq.push_load(seq);
+                        }
+                        if is_store {
+                            let mem = r.mem().expect("stores carry an access");
+                            lsq.push_store(seq, mem);
+                            if track_stores {
+                                claim_store_bytes(&mut store_shadow, seq, mem);
+                            }
+                        }
+                        let entry = IqEntry { seq, srcs, fu: pre.fu, is_load, dest: dest_phys };
+                        // Readiness in a cluster is *visibility*: behind a
+                        // delayed bypass, a ready remote value still in
+                        // flight counts as pending there.
+                        match &bypass {
+                            Some(b) => iqs[cluster].push(entry, |p| b.is_visible(cluster, p)),
+                            None => iqs[cluster].push(entry, |p| regs.is_ready(p)),
+                        }
+                        clusters[cluster].dispatched += 1;
+                        if steer_dead {
+                            steering.dead += 1;
+                            clusters[cluster].steered_dead += 1;
+                        } else {
+                            steering.normal += 1;
+                        }
+                        if rotated {
+                            rr += 1;
+                        }
+                        dest_info
+                    };
                     stats.dispatched += 1;
                     rob.push(RobEntry {
                         seq,
                         dest: dest_info,
-                        eliminated: false,
-                        completed: false,
+                        eliminated: eliminate,
+                        completed: eliminate,
                         is_load,
                         is_store,
                         is_cond_branch: pre.is_cond_branch,
-
                         eligible,
-                        steered_dead: false,
+                        steered_dead: steer_dead,
                         signature,
                     });
                     frontend.pop(seq);
@@ -599,8 +798,9 @@ impl Core {
             frontend.fetch(now, &mut source, &mut hierarchy, &mut stats);
 
             // Occupancy accounting (end-of-cycle snapshot).
+            let iq_len: usize = iqs.iter().map(IssueQueue::len).sum();
             stats.rob_occupancy_sum += rob.len() as u64;
-            stats.iq_occupancy_sum += iq.len() as u64;
+            stats.iq_occupancy_sum += iq_len as u64;
             // Registers in use beyond the architectural baseline; dead-tag
             // mappings hold no register, so this can dip below 32 — clamp.
             stats.phys_used_sum +=
@@ -611,7 +811,7 @@ impl Core {
                         now,
                         EventKind::Sample {
                             rob: rob.len() as u32,
-                            iq: iq.len() as u32,
+                            iq: iq_len as u32,
                             lq: lsq.lq_len() as u32,
                             sq: lsq.sq_len() as u32,
                             free_regs: regs.free_count() as u32,
@@ -627,13 +827,15 @@ impl Core {
             // cycle at which one can, replicating exactly the per-cycle
             // accounting the skipped no-op cycles would have performed.
             // Stage-by-stage, a cycle `t` in the skipped window is a no-op:
-            //  * writeback — the earliest pending completion bounds the
-            //    target, so nothing is due before it;
+            //  * remote wakeups and writeback — the earliest pending remote
+            //    wakeup and completion bound the target, so nothing is due
+            //    before it;
             //  * commit — requires a *completed* ROB head, checked below;
             //    nothing completes in the window, and dispatch (which can
             //    push pre-completed eliminated entries) is blocked;
-            //  * issue — requires a ready IQ entry, checked below; wakeups
-            //    only happen at writeback, dispatch is blocked;
+            //  * issue — requires a ready entry in some cluster, checked
+            //    below; wakeups only happen at writeback or on a remote
+            //    delivery, and dispatch is blocked;
             //  * rename — before `rename_wake`, rename is gated by its
             //    stall window or an empty/unready fetch buffer and touches
             //    no counter. From `rename_wake` on, the buffer-front
@@ -643,13 +845,18 @@ impl Core {
             //    extend past `rename_wake`. A full ROB qualifies
             //    unconditionally (the check precedes every other rename
             //    side effect, including the predictor verdict and its
-            //    event). The IQ/LSQ/phys-reg checks qualify only with
-            //    elimination off, where nothing is ever `eligible`: the
-            //    attempt then runs no predictor query, records no event,
-            //    and the dead-tag scan is read-only, so re-running it every
-            //    skipped cycle is observationally a counter bump. If no
-            //    resource blocks, rename would dispatch: `rename_wake`
-            //    bounds the target;
+            //    event). The IQ/LSQ/phys-reg checks qualify only when
+            //    nothing is `eligible` under the effective predecode
+            //    policy: the attempt then runs no predictor query, records
+            //    no event, and the dead-tag scan is read-only, so re-running
+            //    it every skipped cycle is observationally a counter bump.
+            //    (Dead-steering with elimination off queries the predictor
+            //    and steers on its verdict, so it never qualifies.) The
+            //    steered cluster is frozen with the rest of the machine,
+            //    but a full IQ is charged only when every slice is full:
+            //    with some slices full, the steering decides which counter
+            //    the attempt bumps. If no resource blocks, rename would
+            //    dispatch: `rename_wake` bounds the target;
             //  * fetch — classified via `block_state`: blocked states only
             //    bump `fetch_stall_cycles` (replicated below); a state that
             //    would fetch forbids skipping outright.
@@ -657,34 +864,29 @@ impl Core {
             // the classification cannot change mid-window, except for
             // `Stalled`, whose expiry cycle also bounds the target.
             if committed < total
-                && iq.ready_count() == 0
+                && iqs.iter().all(|iq| iq.ready_count() == 0)
                 && !rob.head().is_some_and(|h| h.completed)
             {
                 let mut target = completions.next_cycle().unwrap_or(u64::MAX);
+                if let Some(remote) = bypass.as_ref().and_then(Bypass::next_cycle) {
+                    target = target.min(remote);
+                }
                 let rename_wake = match frontend.next_ready_at() {
                     Some(ready_at) => ready_at.max(rename_stalled_until),
                     None => u64::MAX,
                 };
                 let blocked = if rob.is_full() {
                     Some(RenameStall::RobFull)
-                } else if cfg.dead.policy == EliminationPolicy::Off {
-                    match frontend.next_seq() {
-                        Some(seq) => {
-                            let pre = &predec[source.get(seq).index as usize];
-                            if iq.is_full() {
-                                Some(RenameStall::IqFull)
-                            } else if (pre.is_load && lsq.lq_full())
-                                || (pre.is_store && lsq.sq_full())
-                            {
-                                Some(RenameStall::LsqFull)
-                            } else if pre.dest.is_some() && regs.free_count() == 0 {
-                                Some(RenameStall::NoPhys)
-                            } else {
-                                None
-                            }
-                        }
-                        None => None,
-                    }
+                } else if effective.dead.policy == EliminationPolicy::Off {
+                    frontend.next_seq().and_then(|seq| {
+                        // With only some slices full, the steering decides
+                        // which counter the attempt bumps: do not qualify.
+                        let full = iqs.iter().filter(|iq| iq.is_full()).count();
+                        let pre = &predec[source.get(seq).index as usize];
+                        (full == 0 || full == n)
+                            .then(|| RenameStall::dispatch(full == n, pre, &lsq, &regs))
+                            .flatten()
+                    })
                 } else {
                     None
                 };
@@ -714,7 +916,7 @@ impl Core {
                 if target > now && target != u64::MAX {
                     let skipped = target - now;
                     stats.rob_occupancy_sum += rob.len() as u64 * skipped;
-                    stats.iq_occupancy_sum += iq.len() as u64 * skipped;
+                    stats.iq_occupancy_sum += iq_len as u64 * skipped;
                     stats.phys_used_sum +=
                         (cfg.phys_regs - regs.free_count()).saturating_sub(Reg::COUNT) as u64
                             * skipped;
@@ -726,12 +928,9 @@ impl Core {
                         // have presented a ready instruction to rename and
                         // stalled on the blocking resource.
                         let stalled = target - rename_wake.max(now);
-                        match blocked.expect("an unblocked rename bounds the target") {
-                            RenameStall::RobFull => stats.rob_full_stalls += stalled,
-                            RenameStall::IqFull => stats.iq_full_stalls += stalled,
-                            RenameStall::LsqFull => stats.lsq_full_stalls += stalled,
-                            RenameStall::NoPhys => stats.no_phys_stalls += stalled,
-                        }
+                        *blocked
+                            .expect("an unblocked rename bounds the target")
+                            .counter(&mut stats) += stalled;
                     }
                     now = target;
                 }
@@ -740,6 +939,10 @@ impl Core {
         debug_assert!(frontend.drained(&mut source), "all instructions must pass through fetch");
         stats.cycles = now;
         stats.memory = hierarchy.stats();
+        if cfg.cluster.is_some() {
+            stats.clusters = clusters;
+            stats.steer = steering;
+        }
         stats
     }
 }

@@ -5,9 +5,10 @@ use dide_isa::{Opcode, OpcodeKind};
 use crate::config::FuConfig;
 
 /// Function-unit class an instruction executes on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub(crate) enum FuClass {
     /// Single-cycle integer ALU (also branches, jumps, `out`).
+    #[default]
     Alu,
     /// Pipelined multiplier.
     Mul,
@@ -69,40 +70,27 @@ impl FuPool {
     /// Attempts to claim a unit of `class` at `cycle`; returns the
     /// operation's base execution latency on success.
     pub(crate) fn try_issue(&mut self, class: FuClass, cycle: u64) -> Option<u32> {
-        match class {
+        if !self.can_issue(class, cycle) {
+            return None;
+        }
+        Some(match class {
             FuClass::Alu => {
-                if self.alu_used < self.config.alus {
-                    self.alu_used += 1;
-                    Some(1)
-                } else {
-                    None
-                }
+                self.alu_used += 1;
+                1
             }
             FuClass::Mul => {
-                if self.mul_used < self.config.muls {
-                    self.mul_used += 1;
-                    Some(self.config.mul_latency)
-                } else {
-                    None
-                }
+                self.mul_used += 1;
+                self.config.mul_latency
             }
             FuClass::Div => {
-                if cycle >= self.div_busy_until {
-                    self.div_busy_until = cycle + u64::from(self.config.div_latency);
-                    Some(self.config.div_latency)
-                } else {
-                    None
-                }
+                self.div_busy_until = cycle + u64::from(self.config.div_latency);
+                self.config.div_latency
             }
             FuClass::Mem => {
-                if self.mem_used < self.config.mem_ports {
-                    self.mem_used += 1;
-                    Some(1)
-                } else {
-                    None
-                }
+                self.mem_used += 1;
+                1
             }
-        }
+        })
     }
 }
 

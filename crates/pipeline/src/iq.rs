@@ -33,10 +33,10 @@
 //! dispatch.
 
 use crate::fu::FuClass;
-use crate::regfile::{PhysReg, PhysRegFile};
+use crate::regfile::PhysReg;
 
 /// One issue-queue entry, as dispatched by rename.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct IqEntry {
     /// Dynamic sequence number (also the age for oldest-first select).
     pub(crate) seq: u64,
@@ -50,21 +50,18 @@ pub(crate) struct IqEntry {
     pub(crate) dest: Option<PhysReg>,
 }
 
-#[derive(Debug, Clone, Copy)]
+/// A resident entry and its source operands still awaited.
+#[derive(Debug, Clone, Copy, Default)]
 struct Slot {
-    seq: u64,
-    srcs: [Option<PhysReg>; 2],
-    fu: FuClass,
-    is_load: bool,
-    dest: Option<PhysReg>,
-    /// Source operands still awaited.
+    entry: IqEntry,
     pending: u8,
 }
 
 /// Age-list link terminator / "not linked" marker.
 const NONE: u32 = u32::MAX;
 
-/// A unified, capacity-bounded issue queue with indexed wakeup.
+/// A capacity-bounded issue queue (one cluster's slice) with indexed
+/// wakeup.
 #[derive(Debug, Clone)]
 pub(crate) struct IssueQueue {
     capacity: usize,
@@ -95,18 +92,10 @@ impl IssueQueue {
     pub(crate) fn new(capacity: usize, phys_regs: usize) -> IssueQueue {
         assert!(capacity > 0, "issue queue needs at least one entry");
         assert!(capacity <= 64, "issue queue capped at 64 entries (slot bitmaps)");
-        let empty = Slot {
-            seq: 0,
-            srcs: [None, None],
-            fu: FuClass::Alu,
-            is_load: false,
-            dest: None,
-            pending: 0,
-        };
         IssueQueue {
             capacity,
             free_slots: (0..capacity as u32).rev().collect(),
-            slots: vec![empty; capacity],
+            slots: vec![Slot::default(); capacity],
             len: 0,
             head: NONE,
             tail: NONE,
@@ -131,20 +120,14 @@ impl IssueQueue {
         self.ready_count
     }
 
-    /// Dispatches an entry, counting its not-yet-ready sources against
-    /// `regs`. Entries must arrive in ascending sequence order (rename is
-    /// in-order), which keeps the age list sorted by age.
+    /// Dispatches an entry, counting its sources for which `is_ready` is
+    /// false as pending. Entries must arrive in ascending sequence order
+    /// (rename is in-order), which keeps the age list sorted by age. The
+    /// predicate is the register file's ready bit, or — behind a delayed
+    /// inter-cluster bypass — the cluster's operand *visibility*, under
+    /// which a globally ready register can still be pending.
     #[inline(always)]
-    pub(crate) fn push(&mut self, entry: IqEntry, regs: &PhysRegFile) {
-        self.push_with(entry, |p| regs.is_ready(p));
-    }
-
-    /// Dispatches an entry with a caller-supplied readiness predicate — the
-    /// clustered backend tracks per-cluster operand *visibility* (remote
-    /// results arrive after the bypass penalty), so a register can be ready
-    /// globally yet still pending in this cluster's queue.
-    #[inline(always)]
-    pub(crate) fn push_with(&mut self, entry: IqEntry, is_ready: impl Fn(PhysReg) -> bool) {
+    pub(crate) fn push(&mut self, entry: IqEntry, is_ready: impl Fn(PhysReg) -> bool) {
         debug_assert!(!self.is_full(), "pushed into a full issue queue");
         let slot = self.free_slots.pop().expect("free slot exists");
         let mut pending = 0u8;
@@ -154,14 +137,7 @@ impl IssueQueue {
                 self.waiters[p.0 as usize] |= 1 << slot;
             }
         }
-        self.slots[slot as usize] = Slot {
-            seq: entry.seq,
-            srcs: entry.srcs,
-            fu: entry.fu,
-            is_load: entry.is_load,
-            dest: entry.dest,
-            pending,
-        };
+        self.slots[slot as usize] = Slot { entry, pending };
         // Link at the tail: youngest.
         self.next[slot as usize] = NONE;
         self.prev[slot as usize] = self.tail;
@@ -178,8 +154,8 @@ impl IssueQueue {
     }
 
     /// Register `p` became ready: wake every entry waiting on it. Returns
-    /// the number of waiter entries woken (the clustered backend charges
-    /// delayed remote wakeups as `bypass_stalls` per waiter).
+    /// the number of waiter entries woken (a delayed remote wakeup charges
+    /// each as one `bypass_stalls`).
     #[inline(always)]
     pub(crate) fn wakeup(&mut self, p: PhysReg) -> u32 {
         let mut w = std::mem::take(&mut self.waiters[p.0 as usize]);
@@ -190,7 +166,7 @@ impl IssueQueue {
             let slot = &mut self.slots[s];
             // A duplicated source counts pending per occurrence but sets
             // one waiter bit; decrement per matching operand.
-            for src in slot.srcs {
+            for src in slot.entry.srcs {
                 if src == Some(p) {
                     slot.pending -= 1;
                 }
@@ -202,26 +178,27 @@ impl IssueQueue {
         woken
     }
 
-    /// Appends `(seq, slot)` for every ready entry to `out`, oldest first
-    /// (the age list is walked in dispatch order, so no sort is needed).
+    /// Appends `(seq, slot, cluster)` for every ready entry to `out`,
+    /// oldest first (the age list is walked in dispatch order, so no sort
+    /// is needed); `cluster` tags this queue's entries in a merged list.
     #[inline(always)]
-    pub(crate) fn collect_ready(&self, out: &mut Vec<(u64, u32)>) {
+    pub(crate) fn collect_ready(&self, cluster: u8, out: &mut Vec<(u64, u32, u8)>) {
+        let (ready, slots, next) = (self.ready, &self.slots[..], &self.next[..]);
         let mut remaining = self.ready_count;
         let mut s = self.head;
         while remaining > 0 && s != NONE {
-            if self.ready & (1 << s) != 0 {
-                out.push((self.slots[s as usize].seq, s));
+            if ready & (1 << s) != 0 {
+                out.push((slots[s as usize].entry.seq, s, cluster));
                 remaining -= 1;
             }
-            s = self.next[s as usize];
+            s = next[s as usize];
         }
     }
 
     /// The resident entry in `slot` (one read for the whole select step).
     #[inline]
     pub(crate) fn entry(&self, slot: u32) -> IqEntry {
-        let s = &self.slots[slot as usize];
-        IqEntry { seq: s.seq, srcs: s.srcs, fu: s.fu, is_load: s.is_load, dest: s.dest }
+        self.slots[slot as usize].entry
     }
 
     /// Removes an issued entry. The entry must be ready (select only
@@ -257,6 +234,7 @@ impl IssueQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regfile::PhysRegFile;
 
     fn entry(seq: u64, srcs: [Option<PhysReg>; 2]) -> IqEntry {
         IqEntry { seq, srcs, fu: FuClass::Alu, is_load: false, dest: None }
@@ -264,8 +242,8 @@ mod tests {
 
     fn ready_seqs(iq: &IssueQueue) -> Vec<u64> {
         let mut v = Vec::new();
-        iq.collect_ready(&mut v);
-        v.into_iter().map(|(seq, _)| seq).collect()
+        iq.collect_ready(0, &mut v);
+        v.into_iter().map(|(seq, ..)| seq).collect()
     }
 
     #[test]
@@ -273,7 +251,7 @@ mod tests {
         let mut regs = PhysRegFile::new(40, 32);
         let p = regs.alloc().unwrap();
         let mut iq = IssueQueue::new(4, 40);
-        iq.push(entry(0, [Some(p), Some(PhysReg(3))]), &regs);
+        iq.push(entry(0, [Some(p), Some(PhysReg(3))]), |p| regs.is_ready(p));
         assert_eq!(iq.ready_count(), 0);
         regs.set_ready(p);
         iq.wakeup(p);
@@ -285,7 +263,7 @@ mod tests {
     fn no_sources_is_ready_at_dispatch() {
         let regs = PhysRegFile::new(40, 32);
         let mut iq = IssueQueue::new(4, 40);
-        iq.push(entry(0, [None, None]), &regs);
+        iq.push(entry(0, [None, None]), |p| regs.is_ready(p));
         assert_eq!(iq.ready_count(), 1);
     }
 
@@ -296,7 +274,7 @@ mod tests {
         let mut regs = PhysRegFile::new(40, 32);
         let p = regs.alloc().unwrap();
         let mut iq = IssueQueue::new(4, 40);
-        iq.push(entry(0, [Some(p), Some(p)]), &regs);
+        iq.push(entry(0, [Some(p), Some(p)]), |p| regs.is_ready(p));
         assert_eq!(iq.ready_count(), 0);
         regs.set_ready(p);
         iq.wakeup(p);
@@ -312,8 +290,8 @@ mod tests {
         regs.set_ready(ready);
         let waited = regs.alloc().unwrap();
         let mut iq = IssueQueue::new(4, 40);
-        iq.push(entry(0, [Some(ready), None]), &regs);
-        iq.push(entry(1, [Some(waited), None]), &regs);
+        iq.push(entry(0, [Some(ready), None]), |p| regs.is_ready(p));
+        iq.push(entry(1, [Some(waited), None]), |p| regs.is_ready(p));
         assert_eq!(iq.ready_count(), 1);
         regs.set_ready(waited);
         iq.wakeup(waited);
@@ -324,18 +302,18 @@ mod tests {
     fn collect_ready_is_oldest_first_without_sorting() {
         let regs = PhysRegFile::new(40, 32);
         let mut iq = IssueQueue::new(4, 40);
-        iq.push(entry(1, [None, None]), &regs);
-        iq.push(entry(5, [None, None]), &regs);
-        iq.push(entry(9, [None, None]), &regs);
+        iq.push(entry(1, [None, None]), |p| regs.is_ready(p));
+        iq.push(entry(5, [None, None]), |p| regs.is_ready(p));
+        iq.push(entry(9, [None, None]), |p| regs.is_ready(p));
         assert_eq!(ready_seqs(&iq), [1, 5, 9]);
         // Remove the oldest and youngest; the middle entry survives and
         // order is preserved across slot reuse.
         let mut v = Vec::new();
-        iq.collect_ready(&mut v);
+        iq.collect_ready(0, &mut v);
         iq.remove(v[0].1);
         iq.remove(v[2].1);
         assert_eq!(iq.len(), 1);
-        iq.push(entry(12, [None, None]), &regs);
+        iq.push(entry(12, [None, None]), |p| regs.is_ready(p));
         assert_eq!(ready_seqs(&iq), [5, 12]);
     }
 
@@ -344,13 +322,13 @@ mod tests {
         let regs = PhysRegFile::new(40, 32);
         let mut iq = IssueQueue::new(2, 40);
         for round in 0..10u64 {
-            iq.push(entry(2 * round, [None, None]), &regs);
-            iq.push(entry(2 * round + 1, [None, None]), &regs);
+            iq.push(entry(2 * round, [None, None]), |p| regs.is_ready(p));
+            iq.push(entry(2 * round + 1, [None, None]), |p| regs.is_ready(p));
             assert!(iq.is_full());
             let mut v = Vec::new();
-            iq.collect_ready(&mut v);
+            iq.collect_ready(0, &mut v);
             assert_eq!(v.len(), 2);
-            for (_, slot) in v {
+            for (_, slot, _) in v {
                 iq.remove(slot);
             }
             assert_eq!(iq.len(), 0);
@@ -362,21 +340,21 @@ mod tests {
         let regs = PhysRegFile::new(40, 32);
         let mut iq = IssueQueue::new(1, 40);
         assert!(!iq.is_full());
-        iq.push(entry(0, [None, None]), &regs);
+        iq.push(entry(0, [None, None]), |p| regs.is_ready(p));
         assert!(iq.is_full());
     }
 
     #[test]
-    fn push_with_overrides_readiness_and_wakeup_reports_woken_entries() {
+    fn push_predicate_overrides_readiness_and_wakeup_reports_woken_entries() {
         // A globally-ready register can be invisible to a remote cluster:
         // the predicate, not the register file, decides pending counts.
         let mut regs = PhysRegFile::new(40, 32);
         let p = regs.alloc().unwrap();
         regs.set_ready(p);
         let mut iq = IssueQueue::new(4, 40);
-        iq.push_with(entry(0, [Some(p), None]), |_| false);
-        iq.push_with(entry(1, [Some(p), None]), |_| false);
-        iq.push_with(entry(2, [None, None]), |_| false);
+        iq.push(entry(0, [Some(p), None]), |_| false);
+        iq.push(entry(1, [Some(p), None]), |_| false);
+        iq.push(entry(2, [None, None]), |_| false);
         assert_eq!(iq.ready_count(), 1, "no-source entries are always ready");
         assert_eq!(iq.wakeup(p), 2, "two entries waited on the register");
         assert_eq!(iq.ready_count(), 3);

@@ -7,8 +7,11 @@
 //!
 //! * an in-order frontend (I-cache, gshare + BTB + RAS, fetch buffer),
 //! * register renaming over a physical register file with a free list,
-//! * a unified issue queue with oldest-first select and per-class function
-//!   units,
+//! * an out-of-order backend of one or more execution clusters, each with
+//!   its own issue-queue slice and per-class function units, under one
+//!   oldest-first select (the unified machine is the one-cluster case;
+//!   more clusters add dispatch-time steering and a delayed inter-cluster
+//!   bypass, DESIGN.md §11),
 //! * split load/store queues with oracle memory disambiguation,
 //! * an in-order commit stage, and
 //! * the paper's **dead-instruction elimination**: instructions predicted
@@ -48,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
 mod config;
 mod core;
 mod frontend;

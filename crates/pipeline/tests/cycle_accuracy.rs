@@ -175,10 +175,11 @@ fn single_cluster_zero_penalty_is_cycle_identical_to_unified() {
     // N=1 with a free bypass network *is* the unified backend: one IQ slice
     // holding the whole queue, one FU pool holding every unit, and operand
     // visibility coinciding with the global ready bit. Every steering
-    // policy degenerates to "cluster 0". The clustered loop must reproduce
-    // the unified loop's statistics bit for bit (modulo the cluster/steer
-    // counters that only it emits) — including with elimination on, where
-    // dead predictions squash pre-dispatch in both loops.
+    // policy degenerates to "cluster 0". `clusters: 1` must therefore build
+    // the same machine as `cluster: None` and reproduce its statistics bit
+    // for bit (modulo the cluster/steer counters only a clustered machine
+    // exports) — including with elimination on, where dead predictions
+    // squash pre-dispatch on both.
     for trace in [dep_chain_loop(8, 50), store_then_load(true), dead_slt_loop(2, 120)] {
         for elim in [false, true] {
             let mut unified = PipelineConfig::contended();
