@@ -347,7 +347,6 @@ impl Core {
     /// even when the trace itself is streamed — and supplies the trace
     /// length, the oracle predictor's answers, and commit-time training
     /// labels.
-    #[allow(clippy::too_many_lines)]
     fn run_loop(
         &self,
         program: &Program,
