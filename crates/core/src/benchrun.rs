@@ -1253,6 +1253,97 @@ mod tests {
         }
     }
 
+    /// Today's `BENCH.json` layout, every block present. Pretty JSON,
+    /// except that `scales`, `phases_ns`, `totals_ns`, `mem_peak_bytes`
+    /// and the per-scale totals sit on one line.
+    const PINNED_JSON: &str = r#"{
+  "schema": "dide-bench/v4",
+  "scales": [1, 4],
+  "benchmarks": [
+    {
+      "name": "expr",
+      "opt": "O2",
+      "scale": 1,
+      "trace_len": 1000,
+      "phases_ns": {"build": 10, "trace": 20, "analyze": 30, "simulate": 40},
+      "total_ns": 100
+    },
+    {
+      "name": "route",
+      "opt": "O2",
+      "scale": 4,
+      "trace_len": 4000,
+      "phases_ns": {"build": 1, "trace": 2, "analyze": 3, "simulate": 4},
+      "total_ns": 10
+    }
+  ],
+  "totals_ns": {"build": 11, "trace": 22, "analyze": 33, "simulate": 44},
+  "per_scale_totals_ns": {
+    "1": {"build": 10, "trace": 20, "analyze": 30, "simulate": 40},
+    "4": {"build": 1, "trace": 2, "analyze": 3, "simulate": 4}
+  },
+  "campaign": {
+    "grid": "00000000deadbeef",
+    "jobs_total": 12,
+    "jobs_unique": 9,
+    "jobs_deduped": 3,
+    "dedup_rate": 0.250,
+    "peak_resident_fixtures": 3,
+    "fixture_cap": 256,
+    "direct_ns": 1000000,
+    "jobs1_ns": 1020000,
+    "scheduler_overhead": 1.020,
+    "jobs": 4,
+    "jobsn_ns": 900000,
+    "jobs_per_sec": 10000.0
+  },
+  "stream": [
+    {
+      "name": "expr",
+      "scale": 16,
+      "epoch_len": 65536,
+      "trace_len": 1000000,
+      "analyze_ns": 50,
+      "simulate_ns": 60,
+      "mem_peak_bytes": {"streamed": 5242880, "materialized": 40000000, "ratio": 7.6}
+    }
+  ],
+  "events_overhead": {
+    "workload": "expr@O2/s1",
+    "off_ns": 1000,
+    "sampled_ns": 1100,
+    "ratio": 1.100,
+    "identical": true
+  },
+  "cluster": {
+    "workload": "expr@O2/s1",
+    "clusters": 2,
+    "bypass_penalty": 2,
+    "unified_ns": 1000,
+    "rr_ns": 1300,
+    "dead_ns": 1200,
+    "host_overhead": 1.200,
+    "unified_cycles": 500,
+    "rr_cycles": 700,
+    "dead_cycles": 620,
+    "steered_dead": 40
+  }
+}
+"#;
+
+    #[test]
+    fn json_layout_is_pinned_byte_for_byte() {
+        let json = render_json(
+            &[1, 4],
+            &sample(),
+            &stream_sample(),
+            Some(&campaign_sample()),
+            Some(&overhead()),
+            Some(&cluster_sample()),
+        );
+        assert_eq!(json, PINNED_JSON);
+    }
+
     #[test]
     fn json_has_schema_and_per_phase_totals() {
         let json = render_json(&[1, 4], &sample(), &[], None, None, None);

@@ -441,6 +441,35 @@ mod tests {
     }
 
     #[test]
+    fn header_record_and_cursor_bytes_are_pinned() {
+        let path = tmp("pinned");
+        let mut w = StoreWriter::create(&path, "f00d", 2, 1).unwrap();
+        let line = render_record(&[
+            ("schema".to_string(), FieldValue::Str("dide-stats/v1".to_string())),
+            ("seq".to_string(), FieldValue::Num(3)),
+            ("name".to_string(), FieldValue::Str("a\"b\\c\u{1}".to_string())),
+        ]);
+        assert_eq!(line, r#"{"schema":"dide-stats/v1","seq":3,"name":"a\"b\\c\u0001"}"#);
+        w.append(&line).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            concat!(
+                r#"{"schema":"dide-campaign-store/v1","grid":"f00d","jobs":2}"#,
+                "\n",
+                r#"{"schema":"dide-stats/v1","seq":3,"name":"a\"b\\c\u0001"}"#,
+                "\n",
+            )
+        );
+        assert_eq!(
+            fs::read_to_string(cursor_path(&path)).unwrap(),
+            concat!(
+                r#"{"schema":"dide-campaign-cursor/v1","grid":"f00d","records":1,"bytes":117}"#,
+                "\n",
+            )
+        );
+    }
+
+    #[test]
     fn parse_rejects_garbage() {
         assert!(parse_record_fields("not json").is_err());
         assert!(parse_record_fields("{\"a\":}").is_err());
