@@ -4,22 +4,21 @@
 //! Runs the four pipeline phases (build → trace → analyze → simulate) for
 //! every benchmark at the requested scales, bypassing the fixture cache so
 //! each phase is actually re-executed and timed, and renders the result as
-//! a machine-readable `BENCH.json`. CI runs `dide bench --quick
-//! --check-against BENCH.json` as a smoke stage: the simulate phase is
-//! compared against the committed baseline ([`check_regression`]) and the
-//! report is archived; comparing two `BENCH.json` files from different
-//! commits is how analyze/trace-phase regressions are caught (see
-//! `TESTING.md`).
-//!
-//! The JSON is hand-rolled: the build environment has no serde, and the
-//! schema is small and flat. Key order is fixed so diffs are stable.
+//! a machine-readable `BENCH.json` through [`dide_obs::json`], with a fixed
+//! key order so diffs are stable. CI runs `dide bench --quick
+//! --check-against BENCH.json` as a smoke stage: the run's document is
+//! compared against the committed baseline block by block ([`GATES`]), and
+//! the gate fails closed on a baseline that is unreadable, of another
+//! schema, or lacks an entry the run measured. Comparing two `BENCH.json`
+//! files from different commits is how analyze/trace-phase regressions are
+//! caught (see `TESTING.md`).
 
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use dide_analysis::DeadnessAnalysis;
 use dide_emu::{DynInst, TraceStream};
+use dide_obs::json::{self, Value};
 use dide_obs::{EventTrace, EventsConfig};
 use dide_pipeline::{ClusterConfig, Core, PipelineConfig, SteerPolicy};
 use dide_workloads::{suite, OptLevel, WorkloadSpec};
@@ -62,8 +61,8 @@ pub struct BenchOptions {
     pub quick: bool,
     /// Where to write the JSON report.
     pub out: PathBuf,
-    /// A committed `BENCH.json` to compare the simulate phase against
-    /// (`--check-against`); see [`check_regression`].
+    /// A committed `BENCH.json` to compare the run against
+    /// (`--check-against`); see [`check_against`].
     pub check_against: Option<PathBuf>,
     /// `--stream`: skip the materializing four-phase sweep and measure only
     /// the streamed enrollments.
@@ -85,25 +84,67 @@ impl Default for BenchOptions {
     }
 }
 
-/// Simulate-phase slowdown (relative to the baseline file) above which
-/// [`check_regression`] fails. Deliberately generous: CI shares one CPU
-/// with other jobs and single-shot phase timings jitter by tens of
-/// percent, so the gate only catches order-of-magnitude regressions
-/// (e.g. an accidentally quadratic pipeline structure), not tuning drift.
+/// Growth over its baseline past which a timed field fails the gate, when
+/// it also exceeds its [`Gate`]'s `floor`. Deliberately generous: CI
+/// shares one CPU with other jobs and single-shot phase timings jitter by
+/// tens of percent, so the gate only catches order-of-magnitude
+/// regressions (e.g. an accidentally quadratic pipeline structure), not
+/// tuning drift.
 const REGRESSION_FACTOR: f64 = 2.0;
 
-/// Absolute slowdown floor: differences under this many milliseconds are
-/// never flagged, whatever the ratio — sub-millisecond baselines would
-/// otherwise trip on scheduler noise alone. Kept below a single quick-run
-/// simulate phase (~8ms), so a genuine 2x regression there still clears
-/// the floor.
-const REGRESSION_FLOOR_MS: u128 = 5;
+/// Floor of the wall-clock fields, in nanoseconds: it keeps
+/// sub-millisecond baselines from tripping on scheduler noise alone, and
+/// sits below a single quick-run simulate phase (~8ms), so a genuine 2x
+/// regression there still clears it.
+const WALL_FLOOR_NS: u64 = 5_000_000;
 
-/// Peak-memory growth factor above which a streamed enrollment fails the
-/// regression check. Unlike wall-clock, `mem_peak_bytes` is deterministic
-/// (resident chunks x epoch bytes), so any growth is structural — the
-/// factor only absorbs intentional epoch retuning, not noise.
-const MEM_REGRESSION_FACTOR: f64 = 2.0;
+/// One block of `BENCH.json` the regression gate compares. Every entry the
+/// run measured needs a baseline entry with equal `keys`; its `exact`
+/// fields are pure functions of the workload and must match exactly, and
+/// its `timed` field (a dotted path) fails when it grows by more than
+/// [`REGRESSION_FACTOR`] *and* by more than `floor`.
+struct Gate {
+    block: &'static str,
+    keys: &'static [&'static str],
+    exact: &'static [&'static str],
+    timed: &'static str,
+    floor: u64,
+}
+
+/// The regression gate of `--check-against`, block by block.
+const GATES: [Gate; 4] = [
+    Gate {
+        block: "benchmarks",
+        keys: &["name", "scale"],
+        exact: &[],
+        timed: "phases_ns.simulate",
+        floor: WALL_FLOOR_NS,
+    },
+    Gate {
+        block: "stream",
+        keys: &["name", "scale"],
+        exact: &[],
+        timed: "mem_peak_bytes.streamed",
+        // Streamed peak memory is deterministic (resident chunks x epoch
+        // bytes), so any growth is structural: no noise floor applies, and
+        // the factor only absorbs intentional epoch retuning.
+        floor: 0,
+    },
+    Gate {
+        block: "campaign",
+        keys: &["grid"],
+        exact: &["jobs_total", "jobs_unique", "jobs_deduped", "peak_resident_fixtures"],
+        timed: "jobsn_ns",
+        floor: WALL_FLOOR_NS,
+    },
+    Gate {
+        block: "cluster",
+        keys: &["workload"],
+        exact: &["unified_cycles", "rr_cycles", "dead_cycles", "steered_dead"],
+        timed: "dead_ns",
+        floor: WALL_FLOOR_NS,
+    },
+];
 
 /// One streamed-mode measurement: windowed analysis + streaming pipeline,
 /// with the peak retained trace memory both paths would need.
@@ -185,13 +226,13 @@ pub struct BenchRun {
     pub regression: Option<RegressionCheck>,
 }
 
-/// Outcome of comparing a run's simulate phase against a baseline
-/// `BENCH.json` (see [`check_regression`]).
+/// Outcome of comparing a run against a baseline `BENCH.json` (see
+/// [`check_against`]).
 #[derive(Debug, Clone)]
 pub struct RegressionCheck {
-    /// Per-benchmark comparison lines, for the report.
+    /// One verdict line per compared field, for the report.
     pub lines: Vec<String>,
-    /// Whether every compared benchmark stayed within the tolerance.
+    /// Whether every compared field passed.
     pub ok: bool,
 }
 
@@ -232,8 +273,8 @@ impl EventsOverhead {
 /// scheduling loop (visibility bitsets, remote-wakeup events, per-cluster
 /// issue merge) so a regression there shows up in CI history. The cycle
 /// counts and steered-dead tally are pure functions of the workload and
-/// are exact-compared by [`check_cluster_regression`] — any drift is a
-/// determinism bug, not noise.
+/// are exact-compared by [`check_against`] — any drift is a determinism
+/// bug, not noise.
 #[derive(Debug, Clone)]
 pub struct ClusterOverhead {
     /// Workload measured (the fixed reference point `expr@O2/s1`).
@@ -272,16 +313,24 @@ impl ClusterOverhead {
     }
 }
 
-/// Runs the benchmark harness and writes `BENCH.json`.
+/// Runs the benchmark harness and writes `BENCH.json`. With
+/// `check_against`, the baseline is read and checked before anything is
+/// measured.
 ///
 /// # Errors
 ///
-/// Returns an error if the output file cannot be written.
+/// Returns a one-line message if the baseline cannot be read, parsed or is
+/// of another schema (see [`load_baseline`]), or if the output file cannot
+/// be written.
 ///
 /// # Panics
 ///
 /// Panics if a benchmark program traps (a workload-generator bug).
-pub fn run_bench(options: &BenchOptions) -> std::io::Result<BenchRun> {
+pub fn run_bench(options: &BenchOptions) -> Result<BenchRun, String> {
+    let baseline = match &options.check_against {
+        Some(path) => Some((path, load_baseline(path)?)),
+        None => None,
+    };
     let specs: Vec<WorkloadSpec> = if options.quick {
         QUICK_SUITE
             .iter()
@@ -315,7 +364,7 @@ pub fn run_bench(options: &BenchOptions) -> std::io::Result<BenchRun> {
     }
 
     eprintln!("bench: campaign throughput grid...");
-    let campaign = measure_campaign_throughput(4).map_err(std::io::Error::other)?;
+    let campaign = measure_campaign_throughput(4)?;
 
     eprintln!("bench: events-overhead reference point...");
     let events_overhead = measure_events_overhead();
@@ -323,46 +372,30 @@ pub fn run_bench(options: &BenchOptions) -> std::io::Result<BenchRun> {
     eprintln!("bench: clustered-backend reference point...");
     let cluster = measure_cluster_overhead();
 
-    let json = render_json(
-        scales,
-        &measurements,
-        &streams,
-        Some(&campaign),
-        Some(&events_overhead),
-        Some(&cluster),
-    );
-    std::fs::File::create(&options.out)?.write_all(json.as_bytes())?;
+    let doc =
+        bench_document(scales, &measurements, &streams, &campaign, &events_overhead, &cluster);
+    let json = render_json(&doc);
+    std::fs::write(&options.out, &json)
+        .map_err(|e| format!("cannot write {}: {e}", options.out.display()))?;
     let mut report =
         render_report(&measurements, &streams, &campaign, &events_overhead, &cluster, &options.out);
-    let regression = match &options.check_against {
-        None => None,
-        Some(path) => {
-            let baseline = std::fs::read_to_string(path)?;
-            let mut check = check_regression(&measurements, &parse_baseline(&baseline));
-            let mem = check_mem_regression(&streams, &parse_stream_baseline(&baseline));
-            check.lines.extend(mem.lines);
-            check.ok &= mem.ok;
-            let camp =
-                check_campaign_regression(&campaign, parse_campaign_baseline(&baseline).as_ref());
-            check.lines.extend(camp.lines);
-            check.ok &= camp.ok;
-            let clu =
-                check_cluster_regression(&cluster, parse_cluster_baseline(&baseline).as_ref());
-            check.lines.extend(clu.lines);
-            check.ok &= clu.ok;
-            report.push_str(&format!("\n== regression check against {} ==\n", path.display()));
-            for line in &check.lines {
-                report.push_str(line);
-                report.push('\n');
-            }
-            report.push_str(if check.ok {
-                "regression check passed\n"
-            } else {
-                "REGRESSION CHECK FAILED\n"
-            });
-            Some(check)
+    let regression = baseline.map(|(path, baseline)| {
+        let check = check_against(&baseline, &doc).unwrap_or_else(|e| RegressionCheck {
+            lines: vec![format!("{}: {e}", path.display())],
+            ok: false,
+        });
+        report.push_str(&format!("\n== regression check against {} ==\n", path.display()));
+        for line in &check.lines {
+            report.push_str(line);
+            report.push('\n');
         }
-    };
+        report.push_str(if check.ok {
+            "regression check passed\n"
+        } else {
+            "REGRESSION CHECK FAILED\n"
+        });
+        check
+    });
     Ok(BenchRun {
         measurements,
         streams,
@@ -375,427 +408,91 @@ pub fn run_bench(options: &BenchOptions) -> std::io::Result<BenchRun> {
     })
 }
 
-/// The deterministic half of a baseline `campaign` block, plus its timing
-/// reference. Dedup and fixture numbers are pure functions of the grid, so
-/// they are compared exactly; wall-clock gets the usual generous factor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignBaselineEntry {
-    /// Grid fingerprint the baseline was measured on.
-    pub grid: String,
-    /// Expanded grid points.
-    pub jobs_total: u64,
-    /// Unique canonical jobs.
-    pub jobs_unique: u64,
-    /// Deduplicated grid points.
-    pub jobs_deduped: u64,
-    /// Peak resident fixtures.
-    pub peak_resident: u64,
-    /// `--jobs N` wall-clock, nanoseconds.
-    pub jobsn_ns: u128,
+/// Reads a baseline `BENCH.json` and checks that it is a
+/// [`BENCH_SCHEMA`] document.
+///
+/// # Errors
+///
+/// A one-line message naming `path` — with `line:col` for a parse error —
+/// when the file cannot be read, is not JSON, or has another schema.
+pub fn load_baseline(path: &Path) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let doc = json::parse(&text).map_err(|e| format!("{}:{e}", path.display()))?;
+    match doc.get("schema").and_then(Value::as_str) {
+        Some(BENCH_SCHEMA) => Ok(doc),
+        schema => Err(format!(
+            "{}: schema is {}, expected {BENCH_SCHEMA}",
+            path.display(),
+            schema.unwrap_or("missing")
+        )),
+    }
 }
 
-/// Extracts the `campaign` block from a baseline `BENCH.json` (line
-/// oriented, like [`parse_baseline`]). Returns `None` for documents
-/// without the block (v2 and older), which the check reports as skipped.
-#[must_use]
-pub fn parse_campaign_baseline(json: &str) -> Option<CampaignBaselineEntry> {
-    let start = json.find("\"campaign\": {")?;
-    let mut grid = None;
-    let mut nums: std::collections::HashMap<&str, u128> = std::collections::HashMap::new();
-    for line in json[start..].lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"grid\": \"") {
-            grid = rest.split('"').next().map(ToString::to_string);
-        } else if let Some((key, value)) = t.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
-            if let Ok(n) = value.parse::<u128>() {
-                for want in [
-                    "jobs_total",
-                    "jobs_unique",
-                    "jobs_deduped",
-                    "peak_resident_fixtures",
-                    "jobsn_ns",
-                ] {
-                    if key == want {
-                        nums.insert(want, n);
-                    }
-                }
+/// Compares the document a run rendered against a baseline through
+/// [`GATES`]: one verdict line per compared field, `ok`, `REGRESSION` or
+/// `DETERMINISM REGRESSION`. Baseline entries the run did not measure are
+/// ignored.
+///
+/// # Errors
+///
+/// Fails closed with a one-line message when the baseline lacks an entry
+/// the run measured (a baseline from another campaign grid or cluster
+/// workload lacks it too), or either side lacks an integer field the gate
+/// compares.
+pub fn check_against(baseline: &Value, current: &Value) -> Result<RegressionCheck, String> {
+    let mut check = RegressionCheck { lines: Vec::new(), ok: true };
+    for gate in &GATES {
+        for entry in entries(current, gate.block) {
+            let mut label = gate.block.to_string();
+            for key in gate.keys {
+                let value = entry.get(key).map_or_else(String::new, |v| {
+                    v.as_str().map_or_else(|| v.to_compact(), str::to_string)
+                });
+                label.push_str(&format!(" {key}={value}"));
             }
-        }
-        if t.ends_with('}') && grid.is_some() {
-            break;
-        }
-    }
-    Some(CampaignBaselineEntry {
-        grid: grid?,
-        jobs_total: u64::try_from(*nums.get("jobs_total")?).ok()?,
-        jobs_unique: u64::try_from(*nums.get("jobs_unique")?).ok()?,
-        jobs_deduped: u64::try_from(*nums.get("jobs_deduped")?).ok()?,
-        peak_resident: u64::try_from(*nums.get("peak_resident_fixtures")?).ok()?,
-        jobsn_ns: *nums.get("jobsn_ns")?,
-    })
-}
-
-/// Compares a campaign throughput measurement against the baseline block.
-///
-/// Dedup and fixture accounting are deterministic given the same grid
-/// fingerprint, so any difference fails; wall-clock uses
-/// [`REGRESSION_FACTOR`] with the usual [`REGRESSION_FLOOR_MS`]. A missing
-/// baseline block or a different grid fingerprint is reported but never
-/// fails (the baseline may predate the grid).
-#[must_use]
-pub fn check_campaign_regression(
-    current: &CampaignThroughput,
-    baseline: Option<&CampaignBaselineEntry>,
-) -> RegressionCheck {
-    let mut lines = Vec::new();
-    let mut ok = true;
-    let Some(base) = baseline else {
-        lines.push("campaign: no baseline campaign block (skipped)".to_string());
-        return RegressionCheck { lines, ok };
-    };
-    if base.grid != current.grid_fingerprint {
-        lines.push(format!(
-            "campaign: baseline grid {} differs from current {} (skipped)",
-            base.grid, current.grid_fingerprint
-        ));
-        return RegressionCheck { lines, ok };
-    }
-    for (what, got, want) in [
-        ("jobs_total", current.jobs_total, base.jobs_total),
-        ("jobs_unique", current.jobs_unique, base.jobs_unique),
-        ("jobs_deduped", current.jobs_deduped, base.jobs_deduped),
-        ("peak_resident_fixtures", current.peak_resident, base.peak_resident),
-    ] {
-        if got == want {
-            lines.push(format!("campaign {what}: {got} — ok"));
-        } else {
-            ok = false;
-            lines.push(format!(
-                "campaign {what}: {got} vs baseline {want} — DETERMINISM REGRESSION"
-            ));
-        }
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let ratio =
-        if base.jobsn_ns == 0 { 1.0 } else { current.jobsn_ns as f64 / base.jobsn_ns as f64 };
-    let over_floor =
-        current.jobsn_ns.saturating_sub(base.jobsn_ns) > REGRESSION_FLOOR_MS * 1_000_000;
-    if ratio > REGRESSION_FACTOR && over_floor {
-        ok = false;
-        lines.push(format!(
-            "campaign jobs={}: {}ns vs baseline {}ns ({ratio:.2}x) — REGRESSION",
-            current.jobsn, current.jobsn_ns, base.jobsn_ns
-        ));
-    } else {
-        lines.push(format!(
-            "campaign jobs={}: {}ns vs baseline {}ns ({ratio:.2}x) — ok",
-            current.jobsn, current.jobsn_ns, base.jobsn_ns
-        ));
-    }
-    RegressionCheck { lines, ok }
-}
-
-/// The deterministic half of a baseline `cluster` block, plus its timing
-/// reference. Cycle counts are pure functions of the fixed reference
-/// workload, so they are compared exactly; wall-clock gets the usual
-/// generous factor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterBaselineEntry {
-    /// Workload the baseline was measured on.
-    pub workload: String,
-    /// Unified-backend simulated cycles.
-    pub unified_cycles: u64,
-    /// Clustered round-robin simulated cycles.
-    pub rr_cycles: u64,
-    /// Clustered dead-steer simulated cycles.
-    pub dead_cycles: u64,
-    /// Instructions the dead-steer run routed to the cheap cluster.
-    pub steered_dead: u64,
-    /// Dead-steer run wall-clock, nanoseconds.
-    pub dead_ns: u128,
-}
-
-/// Extracts the `cluster` block from a baseline `BENCH.json` (line
-/// oriented, like [`parse_baseline`]). Returns `None` for documents
-/// without the block (v3 and older), which the check reports as skipped.
-#[must_use]
-pub fn parse_cluster_baseline(json: &str) -> Option<ClusterBaselineEntry> {
-    let start = json.find("\"cluster\": {")?;
-    let mut workload = None;
-    let mut nums: std::collections::HashMap<&str, u128> = std::collections::HashMap::new();
-    for line in json[start..].lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"workload\": \"") {
-            workload = rest.split('"').next().map(ToString::to_string);
-        } else if let Some((key, value)) = t.strip_prefix('"').and_then(|r| r.split_once("\": ")) {
-            if let Ok(n) = value.parse::<u128>() {
-                for want in
-                    ["unified_cycles", "rr_cycles", "dead_cycles", "steered_dead", "dead_ns"]
-                {
-                    if key == want {
-                        nums.insert(want, n);
-                    }
-                }
+            let base = entries(baseline, gate.block)
+                .find(|b| gate.keys.iter().all(|k| b.get(k) == entry.get(k)))
+                .ok_or_else(|| format!("baseline lacks {label}"))?;
+            let int = |doc: &Value, path: &str| {
+                path.split('.').try_fold(doc, |v, k| v.get(k)).and_then(Value::as_u64)
+            };
+            let pair = |path: &str| match (int(entry, path), int(base, path)) {
+                (Some(got), Some(want)) => Ok((got, want)),
+                _ => Err(format!("{label} has no integer `{path}` to compare")),
+            };
+            for path in gate.exact {
+                let (got, want) = pair(path)?;
+                check.ok &= got == want;
+                check.lines.push(if got == want {
+                    format!("{label} {path}: {got} — ok")
+                } else {
+                    format!("{label} {path}: {got} vs baseline {want} — DETERMINISM REGRESSION")
+                });
             }
-        }
-        if t.ends_with('}') && workload.is_some() {
-            break;
-        }
-    }
-    Some(ClusterBaselineEntry {
-        workload: workload?,
-        unified_cycles: u64::try_from(*nums.get("unified_cycles")?).ok()?,
-        rr_cycles: u64::try_from(*nums.get("rr_cycles")?).ok()?,
-        dead_cycles: u64::try_from(*nums.get("dead_cycles")?).ok()?,
-        steered_dead: u64::try_from(*nums.get("steered_dead")?).ok()?,
-        dead_ns: *nums.get("dead_ns")?,
-    })
-}
-
-/// Compares the clustered-backend reference point against the baseline
-/// block.
-///
-/// Simulated cycle counts and the steered-dead tally are deterministic for
-/// the fixed reference workload, so any difference fails; wall-clock uses
-/// [`REGRESSION_FACTOR`] with the usual [`REGRESSION_FLOOR_MS`]. A missing
-/// baseline block or a different workload is reported but never fails (the
-/// baseline may predate the block).
-#[must_use]
-pub fn check_cluster_regression(
-    current: &ClusterOverhead,
-    baseline: Option<&ClusterBaselineEntry>,
-) -> RegressionCheck {
-    let mut lines = Vec::new();
-    let mut ok = true;
-    let Some(base) = baseline else {
-        lines.push("cluster: no baseline cluster block (skipped)".to_string());
-        return RegressionCheck { lines, ok };
-    };
-    if base.workload != current.workload {
-        lines.push(format!(
-            "cluster: baseline workload {} differs from current {} (skipped)",
-            base.workload, current.workload
-        ));
-        return RegressionCheck { lines, ok };
-    }
-    for (what, got, want) in [
-        ("unified_cycles", current.unified_cycles, base.unified_cycles),
-        ("rr_cycles", current.rr_cycles, base.rr_cycles),
-        ("dead_cycles", current.dead_cycles, base.dead_cycles),
-        ("steered_dead", current.steered_dead, base.steered_dead),
-    ] {
-        if got == want {
-            lines.push(format!("cluster {what}: {got} — ok"));
-        } else {
-            ok = false;
-            lines
-                .push(format!("cluster {what}: {got} vs baseline {want} — DETERMINISM REGRESSION"));
-        }
-    }
-    let current_ns = current.dead.as_nanos();
-    #[allow(clippy::cast_precision_loss)]
-    let ratio = if base.dead_ns == 0 { 1.0 } else { current_ns as f64 / base.dead_ns as f64 };
-    let over_floor = current_ns.saturating_sub(base.dead_ns) > REGRESSION_FLOOR_MS * 1_000_000;
-    if ratio > REGRESSION_FACTOR && over_floor {
-        ok = false;
-        lines.push(format!(
-            "cluster dead-steer: {current_ns}ns vs baseline {}ns ({ratio:.2}x) — REGRESSION",
-            base.dead_ns
-        ));
-    } else {
-        lines.push(format!(
-            "cluster dead-steer: {current_ns}ns vs baseline {}ns ({ratio:.2}x) — ok",
-            base.dead_ns
-        ));
-    }
-    RegressionCheck { lines, ok }
-}
-
-/// A `(benchmark, scale)` simulate-phase time parsed from a baseline
-/// `BENCH.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BaselineEntry {
-    /// Benchmark name.
-    pub name: String,
-    /// Workload scale.
-    pub scale: u32,
-    /// Simulate-phase wall-clock, in nanoseconds.
-    pub simulate_ns: u128,
-}
-
-/// A `(benchmark, scale)` streamed peak-memory entry parsed from a
-/// baseline `BENCH.json` `stream` block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamBaselineEntry {
-    /// Benchmark name.
-    pub name: String,
-    /// Workload scale.
-    pub scale: u32,
-    /// Peak resident trace bytes of the streamed run.
-    pub mem_peak_bytes: u64,
-}
-
-/// Extracts per-benchmark simulate times from a `BENCH.json` document.
-///
-/// The build environment has no serde, so this is a line-oriented reader
-/// of the fixed layout [`render_json`] produces (one key per line inside
-/// each benchmark object, `phases_ns` on a single line). Unparseable
-/// lines are skipped; a malformed file yields an empty baseline, which
-/// [`check_regression`] reports as "no baseline entry" rather than
-/// failing the gate.
-#[must_use]
-pub fn parse_baseline(json: &str) -> Vec<BaselineEntry> {
-    fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\": \""))?;
-        rest.split('"').next()
-    }
-    fn num_field(line: &str, key: &str) -> Option<u128> {
-        let rest = line.trim().strip_prefix(&format!("\"{key}\": "))?;
-        let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    }
-
-    let mut entries = Vec::new();
-    let mut name: Option<String> = None;
-    let mut scale: Option<u32> = None;
-    for line in json.lines() {
-        // `totals_ns` also contains a `"simulate":` key; benchmark
-        // entries are recognized by having seen a `name` first, which the
-        // totals sections never carry.
-        if let Some(n) = str_field(line, "name") {
-            name = Some(n.to_string());
-            scale = None;
-        } else if let Some(s) = num_field(line, "scale") {
-            scale = u32::try_from(s).ok();
-        } else if let Some(i) = line.find("\"simulate\": ") {
-            if let (Some(n), Some(sc)) = (name.take(), scale.take()) {
-                let digits: String = line[i + "\"simulate\": ".len()..]
-                    .chars()
-                    .take_while(char::is_ascii_digit)
-                    .collect();
-                if let Ok(ns) = digits.parse() {
-                    entries.push(BaselineEntry { name: n, scale: sc, simulate_ns: ns });
-                }
-            }
-        }
-    }
-    entries
-}
-
-/// Extracts streamed peak-memory entries from the `stream` block of a
-/// `BENCH.json` document (same line-oriented reading as
-/// [`parse_baseline`]). A document without a `stream` block — e.g. a v1
-/// baseline — yields an empty list, which [`check_mem_regression`]
-/// reports as "no baseline mem entry" rather than failing the gate.
-#[must_use]
-pub fn parse_stream_baseline(json: &str) -> Vec<StreamBaselineEntry> {
-    let Some(start) = json.find("\"stream\": [") else {
-        return Vec::new();
-    };
-    let mut entries = Vec::new();
-    let mut name: Option<String> = None;
-    let mut scale: Option<u32> = None;
-    for line in json[start..].lines() {
-        let t = line.trim();
-        if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            name = rest.split('"').next().map(ToString::to_string);
-            scale = None;
-        } else if let Some(rest) = t.strip_prefix("\"scale\": ") {
-            scale = rest.chars().take_while(char::is_ascii_digit).collect::<String>().parse().ok();
-        } else if let Some(rest) = t.strip_prefix("\"mem_peak_bytes\": {\"streamed\": ") {
-            if let (Some(n), Some(sc)) = (name.take(), scale.take()) {
-                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-                if let Ok(bytes) = digits.parse() {
-                    entries.push(StreamBaselineEntry { name: n, scale: sc, mem_peak_bytes: bytes });
-                }
-            }
-        }
-    }
-    entries
-}
-
-/// Compares each streamed enrollment's peak memory against the baseline.
-///
-/// Peak resident bytes are deterministic (resident chunks x epoch bytes),
-/// so any growth beyond [`MEM_REGRESSION_FACTOR`] is a structural change
-/// to the streaming window — no noise floor applies. Enrollments without a
-/// baseline entry are reported but never fail.
-#[must_use]
-pub fn check_mem_regression(
-    streams: &[StreamMeasurement],
-    baseline: &[StreamBaselineEntry],
-) -> RegressionCheck {
-    let mut lines = Vec::new();
-    let mut ok = true;
-    for s in streams {
-        let label = format!("{}@s{} (streamed)", s.name, s.scale);
-        let Some(base) = baseline.iter().find(|b| b.name == s.name && b.scale == s.scale) else {
-            lines.push(format!("{label}: no baseline mem entry (skipped)"));
-            continue;
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = if base.mem_peak_bytes == 0 {
-            1.0
-        } else {
-            s.mem_peak_bytes as f64 / base.mem_peak_bytes as f64
-        };
-        if ratio > MEM_REGRESSION_FACTOR {
-            ok = false;
-            lines.push(format!(
-                "{label}: mem_peak {} bytes vs baseline {} ({ratio:.2}x) — REGRESSION",
-                s.mem_peak_bytes, base.mem_peak_bytes
-            ));
-        } else {
-            lines.push(format!(
-                "{label}: mem_peak {} bytes vs baseline {} ({ratio:.2}x) — ok",
-                s.mem_peak_bytes, base.mem_peak_bytes
+            let (got, want) = pair(gate.timed)?;
+            #[allow(clippy::cast_precision_loss)]
+            let ratio = if want == 0 { 1.0 } else { got as f64 / want as f64 };
+            let regressed = ratio > REGRESSION_FACTOR && got.saturating_sub(want) > gate.floor;
+            check.ok &= !regressed;
+            check.lines.push(format!(
+                "{label} {}: {got} vs baseline {want} ({ratio:.2}x) — {}",
+                gate.timed,
+                if regressed { "REGRESSION" } else { "ok" }
             ));
         }
     }
-    RegressionCheck { lines, ok }
+    Ok(check)
 }
 
-/// Compares each measurement's simulate phase against the baseline.
-///
-/// A benchmark fails when its simulate time exceeds the baseline by more
-/// than [`REGRESSION_FACTOR`] *and* by more than [`REGRESSION_FLOOR_MS`]
-/// of absolute wall-clock; benchmarks without a matching baseline entry
-/// are reported but never fail (the baseline may predate a new workload).
-#[must_use]
-pub fn check_regression(
-    measurements: &[BenchMeasurement],
-    baseline: &[BaselineEntry],
-) -> RegressionCheck {
-    let simulate_slot =
-        Phase::ALL.iter().position(|p| p.label() == "simulate").expect("simulate phase exists");
-    let mut lines = Vec::new();
-    let mut ok = true;
-    for m in measurements {
-        let label = format!("{}@{}/s{}", m.name, m.opt, m.scale);
-        let Some(base) = baseline.iter().find(|b| b.name == m.name && b.scale == m.scale) else {
-            lines.push(format!("{label}: no baseline entry (skipped)"));
-            continue;
-        };
-        let current = m.phases[simulate_slot].as_nanos();
-        #[allow(clippy::cast_precision_loss)]
-        let ratio =
-            if base.simulate_ns == 0 { 1.0 } else { current as f64 / base.simulate_ns as f64 };
-        let over_factor = ratio > REGRESSION_FACTOR;
-        let over_floor = current.saturating_sub(base.simulate_ns) > REGRESSION_FLOOR_MS * 1_000_000;
-        if over_factor && over_floor {
-            ok = false;
-            lines.push(format!(
-                "{label}: simulate {current}ns vs baseline {}ns ({ratio:.2}x) — REGRESSION",
-                base.simulate_ns
-            ));
-        } else {
-            lines.push(format!(
-                "{label}: simulate {current}ns vs baseline {}ns ({ratio:.2}x) — ok",
-                base.simulate_ns
-            ));
-        }
+/// The entries of a `BENCH.json` block: an array's elements, or an object
+/// block as its only entry.
+fn entries<'a>(doc: &'a Value, block: &str) -> std::slice::Iter<'a, Value> {
+    match doc.get(block) {
+        Some(Value::Array(items)) => items.iter(),
+        Some(object @ Value::Object(_)) => std::slice::from_ref(object).iter(),
+        _ => [].iter(),
     }
-    RegressionCheck { lines, ok }
 }
 
 /// Times the same contended-machine simulation with event tracing off and
@@ -920,149 +617,122 @@ fn measure(spec: WorkloadSpec, opt: OptLevel, scale: u32) -> BenchMeasurement {
     }
 }
 
-/// Renders the `BENCH.json` document. Deterministic layout: fixed key
-/// order, benchmarks in measurement order, 2-space indentation.
+/// Builds the `BENCH.json` document: fixed key order, benchmarks in
+/// measurement order.
 #[must_use]
-pub fn render_json(
+pub fn bench_document(
     scales: &[u32],
     measurements: &[BenchMeasurement],
     streams: &[StreamMeasurement],
-    campaign: Option<&CampaignThroughput>,
-    events: Option<&EventsOverhead>,
-    cluster: Option<&ClusterOverhead>,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{BENCH_SCHEMA}\",\n"));
-    out.push_str(&format!(
-        "  \"scales\": [{}],\n",
-        scales.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-    ));
+    campaign: &CampaignThroughput,
+    events: &EventsOverhead,
+    cluster: &ClusterOverhead,
+) -> Value {
+    let phases_ns = |ns: &dyn Fn(usize) -> u128| {
+        Value::object(Phase::ALL.iter().enumerate().map(|(slot, p)| (p.label(), ns(slot).into())))
+    };
+    let total = |slot: usize, scale: Option<u32>| -> u128 {
+        let ms = measurements.iter().filter(|m| scale.is_none_or(|s| m.scale == s));
+        ms.map(|m| m.phases[slot].as_nanos()).sum()
+    };
+    let benchmarks = measurements.iter().map(|m| {
+        Value::object([
+            ("name", m.name.as_str().into()),
+            ("opt", Value::Str(m.opt.to_string())),
+            ("scale", m.scale.into()),
+            ("trace_len", m.trace_len.into()),
+            ("phases_ns", phases_ns(&|slot| m.phases[slot].as_nanos())),
+            ("total_ns", m.total().as_nanos().into()),
+        ])
+    });
+    let per_scale =
+        scales.iter().map(|&s| (s.to_string(), phases_ns(&|slot| total(slot, Some(s)))));
+    let stream = streams.iter().map(|s| {
+        Value::object([
+            ("name", s.name.as_str().into()),
+            ("scale", s.scale.into()),
+            ("epoch_len", s.epoch_len.into()),
+            ("trace_len", s.trace_len.into()),
+            ("analyze_ns", s.analyze.as_nanos().into()),
+            ("simulate_ns", s.simulate.as_nanos().into()),
+            (
+                "mem_peak_bytes",
+                Value::object([
+                    ("streamed", s.mem_peak_bytes.into()),
+                    ("materialized", s.materialized_bytes.into()),
+                    ("ratio", Value::fixed(s.mem_ratio(), 1)),
+                ]),
+            ),
+        ])
+    });
+    Value::object([
+        ("schema", BENCH_SCHEMA.into()),
+        ("scales", Value::Array(scales.iter().map(|&s| s.into()).collect())),
+        ("benchmarks", Value::Array(benchmarks.collect())),
+        ("totals_ns", phases_ns(&|slot| total(slot, None))),
+        ("per_scale_totals_ns", Value::object(per_scale)),
+        // Dedup and fixture fields are deterministic for a fixed grid and
+        // exact-gated; the ns fields get the generous wall-clock factor.
+        (
+            "campaign",
+            Value::object([
+                ("grid", campaign.grid_fingerprint.as_str().into()),
+                ("jobs_total", campaign.jobs_total.into()),
+                ("jobs_unique", campaign.jobs_unique.into()),
+                ("jobs_deduped", campaign.jobs_deduped.into()),
+                ("dedup_rate", Value::fixed(campaign.dedup_rate(), 3)),
+                ("peak_resident_fixtures", campaign.peak_resident.into()),
+                ("fixture_cap", campaign.fixture_cap.into()),
+                ("direct_ns", campaign.direct_ns.into()),
+                ("jobs1_ns", campaign.jobs1_ns.into()),
+                ("scheduler_overhead", Value::fixed(campaign.scheduler_overhead(), 3)),
+                ("jobs", campaign.jobsn.into()),
+                ("jobsn_ns", campaign.jobsn_ns.into()),
+                ("jobs_per_sec", Value::fixed(campaign.jobs_per_sec(), 1)),
+            ]),
+        ),
+        ("stream", Value::Array(stream.collect())),
+        (
+            "events_overhead",
+            Value::object([
+                ("workload", events.workload.as_str().into()),
+                ("off_ns", events.off.as_nanos().into()),
+                ("sampled_ns", events.sampled.as_nanos().into()),
+                ("ratio", Value::fixed(events.ratio(), 3)),
+                ("identical", Value::Bool(events.identical)),
+            ]),
+        ),
+        // The cycle counts and steered-dead tally are deterministic and
+        // exact-gated; the ns fields get the generous wall-clock factor.
+        (
+            "cluster",
+            Value::object([
+                ("workload", cluster.workload.as_str().into()),
+                ("clusters", cluster.clusters.into()),
+                ("bypass_penalty", cluster.bypass_penalty.into()),
+                ("unified_ns", cluster.unified.as_nanos().into()),
+                ("rr_ns", cluster.rr.as_nanos().into()),
+                ("dead_ns", cluster.dead.as_nanos().into()),
+                ("host_overhead", Value::fixed(cluster.host_overhead(), 3)),
+                ("unified_cycles", cluster.unified_cycles.into()),
+                ("rr_cycles", cluster.rr_cycles.into()),
+                ("dead_cycles", cluster.dead_cycles.into()),
+                ("steered_dead", cluster.steered_dead.into()),
+            ]),
+        ),
+    ])
+}
 
-    out.push_str("  \"benchmarks\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", m.name));
-        out.push_str(&format!("      \"opt\": \"{}\",\n", m.opt));
-        out.push_str(&format!("      \"scale\": {},\n", m.scale));
-        out.push_str(&format!("      \"trace_len\": {},\n", m.trace_len));
-        out.push_str("      \"phases_ns\": {");
-        for (slot, phase) in Phase::ALL.iter().enumerate() {
-            if slot > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", phase.label(), m.phases[slot].as_nanos()));
-        }
-        out.push_str("},\n");
-        out.push_str(&format!("      \"total_ns\": {}\n", m.total().as_nanos()));
-        out.push_str(if i + 1 < measurements.len() { "    },\n" } else { "    }\n" });
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"totals_ns\": {");
-    for (slot, phase) in Phase::ALL.iter().enumerate() {
-        if slot > 0 {
-            out.push_str(", ");
-        }
-        let total: u128 = measurements.iter().map(|m| m.phases[slot].as_nanos()).sum();
-        out.push_str(&format!("\"{}\": {total}", phase.label()));
-    }
-    out.push_str("},\n");
-
-    out.push_str("  \"per_scale_totals_ns\": {\n");
-    for (i, &scale) in scales.iter().enumerate() {
-        out.push_str(&format!("    \"{scale}\": {{"));
-        for (slot, phase) in Phase::ALL.iter().enumerate() {
-            if slot > 0 {
-                out.push_str(", ");
-            }
-            let total: u128 = measurements
-                .iter()
-                .filter(|m| m.scale == scale)
-                .map(|m| m.phases[slot].as_nanos())
-                .sum();
-            out.push_str(&format!("\"{}\": {total}", phase.label()));
-        }
-        out.push_str(if i + 1 < scales.len() { "},\n" } else { "}\n" });
-    }
-    out.push_str("  },\n");
-
-    // Batch-engine throughput: dedup and fixture fields are deterministic
-    // for a fixed grid and are exact-compared by the CI gate; the ns
-    // fields get the usual generous wall-clock factor.
-    if let Some(c) = campaign {
-        out.push_str("  \"campaign\": {\n");
-        out.push_str(&format!("    \"grid\": \"{}\",\n", c.grid_fingerprint));
-        out.push_str(&format!("    \"jobs_total\": {},\n", c.jobs_total));
-        out.push_str(&format!("    \"jobs_unique\": {},\n", c.jobs_unique));
-        out.push_str(&format!("    \"jobs_deduped\": {},\n", c.jobs_deduped));
-        out.push_str(&format!("    \"dedup_rate\": {:.3},\n", c.dedup_rate()));
-        out.push_str(&format!("    \"peak_resident_fixtures\": {},\n", c.peak_resident));
-        out.push_str(&format!("    \"fixture_cap\": {},\n", c.fixture_cap));
-        out.push_str(&format!("    \"direct_ns\": {},\n", c.direct_ns));
-        out.push_str(&format!("    \"jobs1_ns\": {},\n", c.jobs1_ns));
-        out.push_str(&format!("    \"scheduler_overhead\": {:.3},\n", c.scheduler_overhead()));
-        out.push_str(&format!("    \"jobs\": {},\n", c.jobsn));
-        out.push_str(&format!("    \"jobsn_ns\": {},\n", c.jobsn_ns));
-        out.push_str(&format!("    \"jobs_per_sec\": {:.1}\n", c.jobs_per_sec()));
-        out.push_str("  },\n");
-    }
-
-    // Streamed enrollments: the `mem_peak_bytes` block is what the CI
-    // regression gate and the acceptance criteria read.
-    if streams.is_empty() {
-        out.push_str("  \"stream\": []");
-    } else {
-        out.push_str("  \"stream\": [\n");
-        for (i, s) in streams.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", s.name));
-            out.push_str(&format!("      \"scale\": {},\n", s.scale));
-            out.push_str(&format!("      \"epoch_len\": {},\n", s.epoch_len));
-            out.push_str(&format!("      \"trace_len\": {},\n", s.trace_len));
-            out.push_str(&format!("      \"analyze_ns\": {},\n", s.analyze.as_nanos()));
-            out.push_str(&format!("      \"simulate_ns\": {},\n", s.simulate.as_nanos()));
-            out.push_str(&format!(
-                "      \"mem_peak_bytes\": {{\"streamed\": {}, \"materialized\": {}, \
-                 \"ratio\": {:.1}}}\n",
-                s.mem_peak_bytes,
-                s.materialized_bytes,
-                s.mem_ratio()
-            ));
-            out.push_str(if i + 1 < streams.len() { "    },\n" } else { "    }\n" });
-        }
-        out.push_str("  ]");
-    }
-
-    if let Some(ev) = events {
-        out.push_str(",\n  \"events_overhead\": {\n");
-        out.push_str(&format!("    \"workload\": \"{}\",\n", ev.workload));
-        out.push_str(&format!("    \"off_ns\": {},\n", ev.off.as_nanos()));
-        out.push_str(&format!("    \"sampled_ns\": {},\n", ev.sampled.as_nanos()));
-        out.push_str(&format!("    \"ratio\": {:.3},\n", ev.ratio()));
-        out.push_str(&format!("    \"identical\": {}\n", ev.identical));
-        out.push_str("  }");
-    }
-
-    // Clustered-backend reference point: the cycle counts and steered-dead
-    // tally are deterministic and exact-compared by the CI gate; the ns
-    // fields get the usual generous wall-clock factor.
-    if let Some(c) = cluster {
-        out.push_str(",\n  \"cluster\": {\n");
-        out.push_str(&format!("    \"workload\": \"{}\",\n", c.workload));
-        out.push_str(&format!("    \"clusters\": {},\n", c.clusters));
-        out.push_str(&format!("    \"bypass_penalty\": {},\n", c.bypass_penalty));
-        out.push_str(&format!("    \"unified_ns\": {},\n", c.unified.as_nanos()));
-        out.push_str(&format!("    \"rr_ns\": {},\n", c.rr.as_nanos()));
-        out.push_str(&format!("    \"dead_ns\": {},\n", c.dead.as_nanos()));
-        out.push_str(&format!("    \"host_overhead\": {:.3},\n", c.host_overhead()));
-        out.push_str(&format!("    \"unified_cycles\": {},\n", c.unified_cycles));
-        out.push_str(&format!("    \"rr_cycles\": {},\n", c.rr_cycles));
-        out.push_str(&format!("    \"dead_cycles\": {},\n", c.dead_cycles));
-        out.push_str(&format!("    \"steered_dead\": {}\n", c.steered_dead));
-        out.push_str("  }");
-    }
-    out.push_str("\n}\n");
-    out
+/// Renders a `BENCH.json` document: pretty JSON, except that `scales`, the
+/// `phases_ns` maps and their totals, and `mem_peak_bytes` each sit on one
+/// line (per-scale totals are keyed by their scale).
+#[must_use]
+pub fn render_json(doc: &Value) -> String {
+    let one_line = |key: &str| {
+        matches!(key, "scales" | "phases_ns" | "totals_ns" | "mem_peak_bytes")
+            || key.bytes().all(|b| b.is_ascii_digit())
+    };
+    doc.to_pretty_with(&one_line) + "\n"
 }
 
 /// Renders the human-readable summary.
@@ -1253,6 +923,36 @@ mod tests {
         }
     }
 
+    /// The unit-test sample with every block present.
+    fn doc() -> Value {
+        bench_document(
+            &[1, 4],
+            &sample(),
+            &stream_sample(),
+            &campaign_sample(),
+            &overhead(),
+            &cluster_sample(),
+        )
+    }
+
+    /// Replaces the value at `path` (object keys and array indices).
+    fn set(doc: &mut Value, path: &[&str], value: Value) {
+        let slot = path.iter().fold(doc, |v, key| match v {
+            Value::Object(members) => {
+                &mut members.iter_mut().find(|(k, _)| k == key).expect("member exists").1
+            }
+            Value::Array(items) => &mut items[key.parse::<usize>().expect("array index")],
+            _ => panic!("`{key}` is not inside a container"),
+        });
+        *slot = value;
+    }
+
+    fn with(path: &[&str], value: Value) -> Value {
+        let mut d = doc();
+        set(&mut d, path, value);
+        d
+    }
+
     /// Today's `BENCH.json` layout, every block present. Pretty JSON,
     /// except that `scales`, `phases_ns`, `totals_ns`, `mem_peak_bytes`
     /// and the per-scale totals sit on one line.
@@ -1333,20 +1033,22 @@ mod tests {
 
     #[test]
     fn json_layout_is_pinned_byte_for_byte() {
-        let json = render_json(
-            &[1, 4],
-            &sample(),
-            &stream_sample(),
-            Some(&campaign_sample()),
-            Some(&overhead()),
-            Some(&cluster_sample()),
-        );
-        assert_eq!(json, PINNED_JSON);
+        assert_eq!(render_json(&doc()), PINNED_JSON);
+    }
+
+    #[test]
+    fn committed_bench_json_rerenders_byte_for_byte() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH.json");
+        let committed = std::fs::read_to_string(path).expect("BENCH.json is committed");
+        let parsed = json::parse(&committed).expect("BENCH.json parses");
+        assert_eq!(render_json(&parsed), committed);
+        let check = check_against(&parsed, &parsed).expect("a baseline matches itself");
+        assert!(check.ok, "{:?}", check.lines);
     }
 
     #[test]
     fn json_has_schema_and_per_phase_totals() {
-        let json = render_json(&[1, 4], &sample(), &[], None, None, None);
+        let json = render_json(&doc());
         assert!(json.contains("\"schema\": \"dide-bench/v4\""));
         assert!(json.contains("\"scales\": [1, 4]"));
         assert!(json.contains("\"name\": \"expr\""));
@@ -1359,109 +1061,99 @@ mod tests {
         ));
         assert!(json.contains("\"1\": {\"build\": 10"));
         assert!(json.contains("\"4\": {\"build\": 1"));
-        assert!(json.contains("\"stream\": []"), "no streams renders an empty block");
+        let d = bench_document(&[1], &[], &[], &campaign_sample(), &overhead(), &cluster_sample());
+        let json = render_json(&d);
+        assert!(json.contains("\"benchmarks\": [],"), "no measurements renders an empty block");
+        assert!(json.contains("\"stream\": [],"), "no streams renders an empty block");
     }
 
     #[test]
     fn json_records_campaign_block_and_roundtrips() {
-        let c = campaign_sample();
-        let json = render_json(&[1], &sample()[..1], &[], Some(&c), None, None);
+        let json = render_json(&doc());
         assert!(json.contains("\"campaign\": {"));
         assert!(json.contains("\"grid\": \"00000000deadbeef\""));
         assert!(json.contains("\"dedup_rate\": 0.250"));
         assert!(json.contains("\"scheduler_overhead\": 1.020"));
         assert!(json.contains("\"jobs_per_sec\": 10000.0"));
-        let parsed = parse_campaign_baseline(&json).expect("campaign block parses");
-        assert_eq!(
-            parsed,
-            CampaignBaselineEntry {
-                grid: "00000000deadbeef".into(),
-                jobs_total: 12,
-                jobs_unique: 9,
-                jobs_deduped: 3,
-                peak_resident: 3,
-                jobsn_ns: 900_000,
-            }
-        );
-        assert!(parse_campaign_baseline("{\"schema\": \"dide-bench/v2\"}").is_none());
+        let parsed = json::parse(&json).expect("BENCH.json parses");
+        assert_eq!(parsed, doc());
+        let campaign = parsed.get("campaign").expect("campaign block");
+        assert_eq!(campaign.get("jobs_deduped").and_then(Value::as_u64), Some(3));
+        assert_eq!(campaign.get("jobsn_ns").and_then(Value::as_u64), Some(900_000));
     }
 
     #[test]
     fn campaign_regression_check_gates_determinism_and_timing() {
-        let c = campaign_sample();
-        let base =
-            parse_campaign_baseline(&render_json(&[1], &[], &[], Some(&c), None, None)).unwrap();
-        assert!(check_campaign_regression(&c, Some(&base)).ok);
-        assert!(check_campaign_regression(&c, None).ok, "missing block is skipped");
+        let base = doc();
+        let check = check_against(&base, &doc()).unwrap();
+        assert!(check.ok, "{:?}", check.lines);
+        assert!(check
+            .lines
+            .contains(&"campaign grid=00000000deadbeef jobs_deduped: 3 — ok".into()));
 
-        // A different grid fingerprint skips rather than fails.
-        let other = CampaignBaselineEntry { grid: "ffff".into(), ..base.clone() };
-        let check = check_campaign_regression(&c, Some(&other));
-        assert!(check.ok);
-        assert!(check.lines[0].contains("skipped"), "{:?}", check.lines);
+        // A baseline without the block, or measured on another grid, fails
+        // closed.
+        let missing = with(&["campaign"], Value::Null);
+        let err = check_against(&missing, &doc()).unwrap_err();
+        assert_eq!(err, "baseline lacks campaign grid=00000000deadbeef", "missing block fails");
+        let other = with(&["campaign", "grid"], "ffff".into());
+        assert!(check_against(&other, &doc()).is_err(), "a different grid fails");
 
         // Same grid, different dedup count: a determinism regression.
-        let drifted = CampaignBaselineEntry { jobs_deduped: 2, ..base.clone() };
-        assert!(!check_campaign_regression(&c, Some(&drifted)).ok);
+        let drifted = with(&["campaign", "jobs_deduped"], 2u64.into());
+        let check = check_against(&drifted, &doc()).unwrap();
+        assert!(!check.ok);
+        assert!(check.lines.contains(
+            &"campaign grid=00000000deadbeef jobs_deduped: 3 vs baseline 2 — DETERMINISM REGRESSION"
+                .into()
+        ));
 
         // A big slowdown over the floor fails; a tiny one passes.
-        let fast = CampaignBaselineEntry { jobsn_ns: 1000, ..base.clone() };
-        let mut slow_run = campaign_sample();
-        slow_run.jobsn_ns = 400_000_000;
-        assert!(!check_campaign_regression(&slow_run, Some(&fast)).ok);
-        assert!(check_campaign_regression(&c, Some(&fast)).ok, "under the 5ms floor");
+        let fast = with(&["campaign", "jobsn_ns"], 1000u64.into());
+        let slow_run = with(&["campaign", "jobsn_ns"], 400_000_000u64.into());
+        assert!(!check_against(&fast, &slow_run).unwrap().ok);
+        assert!(check_against(&fast, &doc()).unwrap().ok, "under the 5ms floor");
     }
 
     #[test]
     fn json_records_cluster_block_and_roundtrips() {
-        let c = cluster_sample();
-        let json = render_json(&[1], &sample()[..1], &[], None, None, Some(&c));
+        let json = render_json(&doc());
         assert!(json.contains("\"cluster\": {"));
         assert!(json.contains("\"clusters\": 2"));
         assert!(json.contains("\"bypass_penalty\": 2"));
         assert!(json.contains("\"host_overhead\": 1.200"));
         assert!(json.contains("\"steered_dead\": 40"));
-        let parsed = parse_cluster_baseline(&json).expect("cluster block parses");
-        assert_eq!(
-            parsed,
-            ClusterBaselineEntry {
-                workload: "expr@O2/s1".into(),
-                unified_cycles: 500,
-                rr_cycles: 700,
-                dead_cycles: 620,
-                steered_dead: 40,
-                dead_ns: 1200,
-            }
-        );
-        assert!(parse_cluster_baseline("{\"schema\": \"dide-bench/v3\"}").is_none());
+        let parsed = json::parse(&json).expect("BENCH.json parses");
+        let cluster = parsed.get("cluster").expect("cluster block");
+        assert_eq!(cluster.get("workload").and_then(Value::as_str), Some("expr@O2/s1"));
+        assert_eq!(cluster.get("dead_cycles").and_then(Value::as_u64), Some(620));
+        assert_eq!(cluster.get("dead_ns").and_then(Value::as_u64), Some(1200));
     }
 
     #[test]
     fn cluster_regression_check_gates_determinism_and_timing() {
-        let c = cluster_sample();
-        let base =
-            parse_cluster_baseline(&render_json(&[1], &[], &[], None, None, Some(&c))).unwrap();
-        assert!(check_cluster_regression(&c, Some(&base)).ok);
-        assert!(check_cluster_regression(&c, None).ok, "missing block is skipped");
+        let base = doc();
+        assert!(check_against(&base, &doc()).unwrap().ok);
 
-        // A different reference workload skips rather than fails.
-        let other = ClusterBaselineEntry { workload: "route@O2/s1".into(), ..base.clone() };
-        let check = check_cluster_regression(&c, Some(&other));
-        assert!(check.ok);
-        assert!(check.lines[0].contains("skipped"), "{:?}", check.lines);
+        // A baseline without the block, or on another reference workload,
+        // fails closed.
+        let missing = with(&["cluster"], Value::Null);
+        assert!(check_against(&missing, &doc()).is_err(), "missing block fails");
+        let other = with(&["cluster", "workload"], "route@O2/s1".into());
+        let err = check_against(&other, &doc()).unwrap_err();
+        assert_eq!(err, "baseline lacks cluster workload=expr@O2/s1", "a different workload fails");
 
         // Same workload, different cycle count: a determinism regression.
-        let drifted = ClusterBaselineEntry { dead_cycles: 621, ..base.clone() };
-        assert!(!check_cluster_regression(&c, Some(&drifted)).ok);
-        let steered = ClusterBaselineEntry { steered_dead: 39, ..base.clone() };
-        assert!(!check_cluster_regression(&c, Some(&steered)).ok);
+        let drifted = with(&["cluster", "dead_cycles"], 621u64.into());
+        assert!(!check_against(&drifted, &doc()).unwrap().ok);
+        let steered = with(&["cluster", "steered_dead"], 39u64.into());
+        assert!(!check_against(&steered, &doc()).unwrap().ok);
 
         // A big slowdown over the floor fails; a tiny one passes.
-        let fast = ClusterBaselineEntry { dead_ns: 1000, ..base.clone() };
-        let mut slow_run = cluster_sample();
-        slow_run.dead = Duration::from_nanos(400_000_000);
-        assert!(!check_cluster_regression(&slow_run, Some(&fast)).ok);
-        assert!(check_cluster_regression(&c, Some(&fast)).ok, "under the 5ms floor");
+        let fast = with(&["cluster", "dead_ns"], 1000u64.into());
+        let slow_run = with(&["cluster", "dead_ns"], 400_000_000u64.into());
+        assert!(!check_against(&fast, &slow_run).unwrap().ok);
+        assert!(check_against(&fast, &doc()).unwrap().ok, "under the 5ms floor");
     }
 
     #[test]
@@ -1483,7 +1175,7 @@ mod tests {
 
     #[test]
     fn json_records_stream_block() {
-        let json = render_json(&[1], &sample()[..1], &stream_sample(), None, None, None);
+        let json = render_json(&doc());
         assert!(json.contains("\"stream\": [\n"));
         assert!(json.contains("\"epoch_len\": 65536"));
         assert!(json.contains("\"analyze_ns\": 50"));
@@ -1495,27 +1187,8 @@ mod tests {
     }
 
     #[test]
-    fn json_is_structurally_balanced() {
-        let streams = stream_sample();
-        let campaign = campaign_sample();
-        let cluster = cluster_sample();
-        for cl in [None, Some(&cluster)] {
-            for events in [None, Some(&overhead())] {
-                for c in [None, Some(&campaign)] {
-                    for s in [&[] as &[StreamMeasurement], &streams] {
-                        let json = render_json(&[1], &sample()[..1], s, c, events, cl);
-                        assert_eq!(json.matches('{').count(), json.matches('}').count());
-                        assert_eq!(json.matches('[').count(), json.matches(']').count());
-                        assert!(json.ends_with("}\n"));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn json_records_events_overhead() {
-        let json = render_json(&[1], &sample()[..1], &[], None, Some(&overhead()), None);
+        let json = render_json(&doc());
         assert!(json.contains("\"events_overhead\": {"));
         assert!(json.contains("\"workload\": \"expr@O2/s1\""));
         assert!(json.contains("\"off_ns\": 1000"));
@@ -1536,87 +1209,145 @@ mod tests {
 
     #[test]
     fn baseline_roundtrips_through_the_renderer() {
-        // The parser must read exactly what render_json writes — including
-        // not confusing the `totals_ns` simulate key with a benchmark's,
-        // and not treating `stream` entries as phase measurements.
-        let json = render_json(
-            &[1, 4],
-            &sample(),
-            &stream_sample(),
-            Some(&campaign_sample()),
-            Some(&overhead()),
-            Some(&cluster_sample()),
-        );
-        let parsed = parse_baseline(&json);
+        // The parser must read exactly what render_json writes, and the
+        // gate must match every block's entries by their keys — not
+        // confuse the `totals_ns` simulate key with a benchmark's, nor a
+        // `stream` entry with a benchmark of the same name.
+        let parsed = json::parse(&render_json(&doc())).expect("BENCH.json parses");
+        assert_eq!(parsed, doc());
+        let check = check_against(&parsed, &doc()).unwrap();
+        assert!(check.ok, "{:?}", check.lines);
         assert_eq!(
-            parsed,
-            vec![
-                BaselineEntry { name: "expr".into(), scale: 1, simulate_ns: 40 },
-                BaselineEntry { name: "route".into(), scale: 4, simulate_ns: 4 },
+            check.lines,
+            [
+                "benchmarks name=expr scale=1 phases_ns.simulate: 40 vs baseline 40 (1.00x) — ok",
+                "benchmarks name=route scale=4 phases_ns.simulate: 4 vs baseline 4 (1.00x) — ok",
+                "stream name=expr scale=16 mem_peak_bytes.streamed: 5242880 vs baseline 5242880 \
+                 (1.00x) — ok",
+                "campaign grid=00000000deadbeef jobs_total: 12 — ok",
+                "campaign grid=00000000deadbeef jobs_unique: 9 — ok",
+                "campaign grid=00000000deadbeef jobs_deduped: 3 — ok",
+                "campaign grid=00000000deadbeef peak_resident_fixtures: 3 — ok",
+                "campaign grid=00000000deadbeef jobsn_ns: 900000 vs baseline 900000 (1.00x) — ok",
+                "cluster workload=expr@O2/s1 unified_cycles: 500 — ok",
+                "cluster workload=expr@O2/s1 rr_cycles: 700 — ok",
+                "cluster workload=expr@O2/s1 dead_cycles: 620 — ok",
+                "cluster workload=expr@O2/s1 steered_dead: 40 — ok",
+                "cluster workload=expr@O2/s1 dead_ns: 1200 vs baseline 1200 (1.00x) — ok",
             ]
         );
-        assert_eq!(
-            parse_stream_baseline(&json),
-            vec![StreamBaselineEntry { name: "expr".into(), scale: 16, mem_peak_bytes: 5_242_880 }]
-        );
+    }
+
+    #[test]
+    fn reindented_baseline_gives_the_same_verdicts() {
+        // The same JSON value in another layout (every container
+        // multi-line, or everything on one line) must be compared, not
+        // skipped, with identical verdicts.
+        let current = with(&["benchmarks", "0", "phases_ns", "simulate"], 90_000_000u64.into());
+        let verdicts = |text: &str| check_against(&json::parse(text).unwrap(), &current).unwrap();
+        let original = verdicts(&render_json(&doc()));
+        assert!(!original.ok, "the slowed-down benchmark regresses");
+        for text in [doc().to_pretty(), doc().to_compact()] {
+            let reindented = verdicts(&text);
+            assert_eq!(reindented.lines, original.lines);
+            assert_eq!(reindented.ok, original.ok);
+        }
+    }
+
+    fn baseline_file(name: &str, contents: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dide-benchrun-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, contents).unwrap();
+        path
     }
 
     #[test]
     fn baseline_parser_tolerates_garbage() {
-        assert!(parse_baseline("").is_empty());
-        assert!(parse_baseline("not json at all").is_empty());
-        assert!(parse_baseline("{\"simulate\": 12}").is_empty(), "simulate without a name");
-        assert!(parse_stream_baseline("").is_empty());
-        assert!(parse_stream_baseline("{\"schema\": \"dide-bench/v1\"}").is_empty(), "v1 baseline");
+        // Garbage never panics and never passes: it is a one-line error
+        // naming the file and, for a parse error, the line and column.
+        let err = |name: &str, contents: &str| {
+            let path = baseline_file(name, contents);
+            let err = load_baseline(&path).unwrap_err();
+            assert!(!err.contains('\n'), "{err}");
+            err.replacen(&path.display().to_string(), "PATH", 1)
+        };
+        assert_eq!(err("empty.json", ""), "PATH:1:1: expected a value, found end of input");
+        assert_eq!(
+            err("garbage.json", "this is not json"),
+            "PATH:1:1: expected a value, found `t`"
+        );
+        assert_eq!(
+            err("name-only.json", "{\"simulate\": 12}"),
+            "PATH: schema is missing, expected dide-bench/v4"
+        );
+        assert_eq!(
+            err("v3.json", "{\"schema\": \"dide-bench/v3\"}"),
+            "PATH: schema is dide-bench/v3, expected dide-bench/v4"
+        );
+        let torn = &render_json(&doc())[..200];
+        assert!(err("torn.json", torn).starts_with("PATH:10:"), "{}", err("torn.json", torn));
+        let missing = baseline_file("x", "").with_file_name("missing.json");
+        assert!(load_baseline(&missing).unwrap_err().starts_with("cannot read "));
+        let good = baseline_file("good.json", &render_json(&doc()));
+        assert_eq!(load_baseline(&good), Ok(doc()));
+        std::fs::remove_dir_all(good.parent().unwrap()).ok();
     }
 
     #[test]
     fn mem_regression_check_flags_structural_growth() {
-        let streams = stream_sample();
-        // No baseline block (e.g. a v1 file): reported, never failing.
-        let check = check_mem_regression(&streams, &[]);
-        assert!(check.ok);
-        assert!(check.lines[0].contains("no baseline mem entry"));
+        // No baseline entry for the enrollment (e.g. a v1 file): fails.
+        let err = check_against(&with(&["stream"], Value::Array(Vec::new())), &doc()).unwrap_err();
+        assert_eq!(err, "baseline lacks stream name=expr scale=16");
         // Within 2x: ok.
-        let base =
-            vec![StreamBaselineEntry { name: "expr".into(), scale: 16, mem_peak_bytes: 5_242_880 }];
-        assert!(check_mem_regression(&streams, &base).ok);
+        let grown = with(&["stream", "0", "mem_peak_bytes", "streamed"], 10_000_000u64.into());
+        assert!(check_against(&doc(), &grown).unwrap().ok);
         // More than 2x growth: a structural regression, no noise floor.
-        let shrunk =
-            vec![StreamBaselineEntry { name: "expr".into(), scale: 16, mem_peak_bytes: 1_000_000 }];
-        let check = check_mem_regression(&streams, &shrunk);
+        let shrunk = with(&["stream", "0", "mem_peak_bytes", "streamed"], 1_000_000u64.into());
+        let check = check_against(&shrunk, &doc()).unwrap();
         assert!(!check.ok);
-        assert!(check.lines[0].contains("REGRESSION"), "{:?}", check.lines);
+        assert!(
+            check.lines.contains(
+                &"stream name=expr scale=16 mem_peak_bytes.streamed: 5242880 vs baseline 1000000 \
+                  (5.24x) — REGRESSION"
+                    .into()
+            ),
+            "{:?}",
+            check.lines
+        );
     }
 
     #[test]
     fn regression_check_flags_only_large_real_slowdowns() {
-        let mut m = sample();
+        let simulate = ["benchmarks", "0", "phases_ns", "simulate"];
         // expr baseline 100ms; current 40ns → fine (a speedup).
-        let baseline = vec![
-            BaselineEntry { name: "expr".into(), scale: 1, simulate_ns: 100_000_000 },
-            BaselineEntry { name: "route".into(), scale: 4, simulate_ns: 4 },
-        ];
-        let check = check_regression(&m, &baseline);
+        let check = check_against(&with(&simulate, 100_000_000u64.into()), &doc()).unwrap();
         assert!(check.ok, "{:?}", check.lines);
         // route: ratio 1.0 — fine.
-        assert!(check.lines[1].contains("ok"));
+        assert!(check.lines[1].ends_with("(1.00x) — ok"), "{:?}", check.lines);
 
         // A 3x slowdown that is still under the 5ms floor must pass
         // (sub-millisecond noise), then one over both thresholds must fail.
-        m[0].phases[3] = Duration::from_nanos(300_000_000);
-        let noisy = vec![BaselineEntry { name: "expr".into(), scale: 1, simulate_ns: 1 }];
-        let check = check_regression(&m[..1], &noisy);
+        let slow = with(&simulate, 300_000_000u64.into());
+        let check = check_against(&with(&simulate, 1u64.into()), &slow).unwrap();
         assert!(!check.ok, "300ms over a 1ns baseline is a regression");
-        let small = vec![BaselineEntry { name: "expr".into(), scale: 1, simulate_ns: 299_000_000 }];
-        assert!(check_regression(&m[..1], &small).ok, "1ms over baseline is noise");
+        assert!(check.lines[0].ends_with("— REGRESSION"), "{:?}", check.lines);
+        let small = with(&simulate, 299_000_000u64.into());
+        assert!(check_against(&small, &slow).unwrap().ok, "1ms over baseline is noise");
     }
 
     #[test]
     fn regression_check_skips_unmatched_benchmarks() {
-        let check = check_regression(&sample(), &[]);
-        assert!(check.ok);
-        assert!(check.lines.iter().all(|l| l.contains("no baseline entry")));
+        // A baseline that lacks a measured benchmark fails closed; extra
+        // baseline entries the run did not measure are ignored.
+        let mut base = doc();
+        let Some(Value::Array(benchmarks)) = base.get("benchmarks").cloned() else { panic!() };
+        set(&mut base, &["benchmarks"], Value::Array(benchmarks[..1].to_vec()));
+        let err = check_against(&base, &doc()).unwrap_err();
+        assert_eq!(err, "baseline lacks benchmarks name=route scale=4");
+        let other_scale = with(&["benchmarks", "1", "scale"], 16u32.into());
+        assert!(check_against(&other_scale, &doc()).is_err(), "another scale is not a match");
+        assert!(check_against(&doc(), &base).unwrap().ok, "unmeasured entries are ignored");
     }
 
     #[test]
@@ -1646,6 +1377,9 @@ mod tests {
         assert!(run.report.contains("streamed"));
         assert!(run.report.contains("campaign throughput"));
         assert!(run.report.contains("clustered backend"));
+        let scratch =
+            std::env::temp_dir().join(format!("dide-campaign-bench-{}", std::process::id()));
+        assert!(!scratch.exists(), "the campaign measurement leaked {}", scratch.display());
         std::fs::remove_file(&out).ok();
     }
 

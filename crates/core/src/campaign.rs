@@ -371,7 +371,7 @@ fn run_job(job: &JobSpec, cache: &FixtureCache) -> (String, u64) {
     for (name, value) in counters.iter() {
         fields.push((name.to_string(), FieldValue::Num(value)));
     }
-    (render_record(&fields), violations.len() as u64)
+    (render_record(fields), violations.len() as u64)
 }
 
 /// Options for [`run_campaign`] (the `dide campaign run` CLI).
@@ -635,8 +635,8 @@ impl CampaignThroughput {
 /// Times [`bench_grid`] three ways — a plain serial loop over the unique
 /// jobs (no scheduler, no store), the engine at `--jobs 1`, and the engine
 /// at `--jobs N` — writing throwaway stores under the system temp
-/// directory. Each pass uses a fresh fixture cache so no pass inherits the
-/// previous pass's builds.
+/// directory, which is removed before returning. Each pass uses a fresh
+/// fixture cache so no pass inherits the previous pass's builds.
 ///
 /// # Errors
 ///
@@ -670,8 +670,12 @@ pub fn measure_campaign_throughput(jobsn: usize) -> Result<CampaignThroughput, S
         let run = run_campaign(&options)?;
         Ok((start.elapsed().as_nanos(), run))
     };
-    let (jobs1_ns, _) = timed(1, "jobs1.jsonl")?;
-    let (jobsn_ns, run_n) = timed(jobsn.max(2), "jobsn.jsonl")?;
+    let runs = timed(1, "jobs1.jsonl").and_then(|(jobs1_ns, _)| {
+        timed(jobsn.max(2), "jobsn.jsonl").map(|(jobsn_ns, run_n)| (jobs1_ns, jobsn_ns, run_n))
+    });
+    // The stores are throwaway: remove them whether or not the runs worked.
+    let _ = std::fs::remove_dir_all(&dir);
+    let (jobs1_ns, jobsn_ns, run_n) = runs?;
 
     Ok(CampaignThroughput {
         grid_fingerprint: expanded.fingerprint,

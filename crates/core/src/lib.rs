@@ -55,10 +55,8 @@ pub mod verifyrun;
 mod workbench;
 
 pub use benchrun::{
-    check_campaign_regression, check_mem_regression, check_regression, measure_events_overhead,
-    parse_baseline, parse_campaign_baseline, parse_stream_baseline, run_bench, BaselineEntry,
-    BenchOptions, BenchRun, CampaignBaselineEntry, EventsOverhead, RegressionCheck,
-    StreamBaselineEntry, StreamMeasurement,
+    check_against, load_baseline, measure_events_overhead, run_bench, BenchOptions, BenchRun,
+    EventsOverhead, RegressionCheck, StreamMeasurement,
 };
 pub use campaign::{
     bench_grid, campaign_rules, expand_grid, measure_campaign_throughput, run_campaign,
@@ -70,7 +68,7 @@ pub use statsrun::{
     run_events, run_stats, EventsOptions, EventsRun, RunSelection, StatsFormat, StatsOptions,
     StatsRun, DEFAULT_EPOCH_LEN, STATS_SCHEMA,
 };
-pub use store::{parse_record_fields, StoreReader, StoreWriter, CAMPAIGN_STORE_SCHEMA};
+pub use store::{StoreReader, StoreWriter, CAMPAIGN_STORE_SCHEMA};
 pub use table::Table;
 pub use verifyrun::{run_golden, run_verify, GoldenOptions, GoldenRun, VerifyOptions, VerifyRun};
 pub use workbench::{

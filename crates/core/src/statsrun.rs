@@ -15,17 +15,18 @@
 //!
 //! Both outputs are deterministic: fixtures are pure functions of
 //! `(benchmark, opt, scale)`, the simulator is deterministic, and counters
-//! render in registration order. The JSON is hand-rolled like `BENCH.json`
-//! (no serde in the build environment).
+//! render in registration order. The JSON goes through `dide_obs::json`,
+//! like `BENCH.json` and the campaign store.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dide_analysis::{DeadnessAnalysis, StreamedDeadness};
 use dide_emu::TraceStream;
+use dide_obs::json::Value;
 use dide_obs::{
-    check_rules, counters_csv, counters_json, json_escape, CounterSet, CycleEvent, EventKind,
-    EventTrace, EventsConfig, Observe,
+    check_rules, counters_csv, counters_json, CounterSet, CycleEvent, EventKind, EventTrace,
+    EventsConfig, Observe,
 };
 use dide_pipeline::{ClusterConfig, Core, DeadElimConfig, PipelineConfig, PipelineStats};
 use dide_workloads::OptLevel;
@@ -251,31 +252,22 @@ fn render_stats_json(
     counters: &CounterSet,
     violations: &[String],
 ) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"{STATS_SCHEMA}\",");
-    let _ = writeln!(out, "  \"benchmark\": \"{}\",", json_escape(&select.benchmark));
-    let _ = writeln!(out, "  \"opt\": \"{}\",", select.opt);
-    let _ = writeln!(out, "  \"scale\": {},", select.scale);
-    let _ = writeln!(out, "  \"machine\": \"{}\",", select.machine());
+    let mut doc = vec![
+        ("schema", Value::from(STATS_SCHEMA)),
+        ("benchmark", select.benchmark.as_str().into()),
+        ("opt", Value::Str(select.opt.to_string())),
+        ("scale", select.scale.into()),
+        ("machine", select.machine().into()),
+    ];
     if select.stream {
         // Only streamed documents carry the key, so the golden-pinned
         // materializing documents stay byte-identical.
-        let _ = writeln!(out, "  \"mode\": \"streamed\",");
+        doc.push(("mode", "streamed".into()));
     }
-    let _ = writeln!(out, "  \"elimination\": \"{}\",", select.elimination());
-    let _ = writeln!(out, "  \"counters\": {},", counters_json(counters, 2));
-    if violations.is_empty() {
-        out.push_str("  \"violations\": []\n");
-    } else {
-        out.push_str("  \"violations\": [\n");
-        for (i, v) in violations.iter().enumerate() {
-            let _ = write!(out, "    \"{}\"", json_escape(v));
-            out.push_str(if i + 1 < violations.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n");
-    }
-    out.push_str("}\n");
-    out
+    doc.push(("elimination", select.elimination().into()));
+    doc.push(("counters", counters_json(counters)));
+    doc.push(("violations", Value::Array(violations.iter().map(|v| v.as_str().into()).collect())));
+    Value::object(doc).to_pretty() + "\n"
 }
 
 /// Options for [`run_events`] (the `dide events` CLI).

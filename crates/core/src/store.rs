@@ -2,7 +2,7 @@
 //!
 //! A campaign writes one **header** line describing the grid, then one
 //! single-line JSON **record** per unique job, in job-sequence order. The
-//! format is append-only and line-oriented on purpose:
+//! format is append-only JSON Lines on purpose:
 //!
 //! * records are written strictly in sequence order (the work-stealing
 //!   scheduler's in-order sink), so the file is **byte-identical for any
@@ -14,14 +14,15 @@
 //!   truncates to the cursor and continues from the next sequence number,
 //!   producing a final store byte-identical to an uninterrupted run.
 //!
-//! Records are flat JSON objects (string and `u64` values only — counters
-//! come from [`dide_obs::CounterSet`], which is integer-valued by design),
-//! so the hand-rolled parser here stays small and total. The build host has
-//! no serde; this mirrors the `BENCH.json` approach.
+//! Records are flat JSON objects of string and `u64` fields (counters come
+//! from [`dide_obs::CounterSet`], which is integer-valued by design),
+//! rendered and parsed through [`dide_obs::json`] in its compact layout.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+
+use dide_obs::json::{self, Value};
 
 /// Schema tag of the store header line (record lines carry the
 /// `dide-stats/v1` schema of their counter payload).
@@ -51,98 +52,50 @@ impl FieldValue {
     }
 }
 
-/// Parses one single-line flat JSON object (string / `u64` values) into
-/// ordered `(name, value)` pairs.
+/// Parses a store or cursor line: a flat JSON object of string and `u64`
+/// fields, in order. Errors read `{what} line {lineno}:col: message`.
 ///
 /// # Errors
 ///
-/// Returns a one-line description if the line is not a flat object of
+/// A one-line message if the line is not JSON, or not a flat object of
 /// string and integer fields (torn tail lines fail here and are dropped by
 /// readers).
-pub fn parse_record_fields(line: &str) -> Result<Vec<(String, FieldValue)>, String> {
-    let mut fields = Vec::new();
-    let bytes = line.trim();
-    let inner = bytes
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| "record is not a JSON object".to_string())?;
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let (name, after) = parse_json_string(rest)?;
-        let after = after
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("missing `:` after field `{name}`"))?
-            .trim_start();
-        let (value, after) = if after.starts_with('"') {
-            let (s, a) = parse_json_string(after)?;
-            (FieldValue::Str(s), a)
-        } else {
-            let end = after.find(|c: char| !c.is_ascii_digit()).unwrap_or(after.len());
-            let digits = &after[..end];
-            let num = digits
-                .parse::<u64>()
-                .map_err(|_| format!("field `{name}` has a non-integer value"))?;
-            (FieldValue::Num(num), &after[end..])
-        };
-        fields.push((name, value));
-        rest = after.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r.trim_start(),
-            None if rest.is_empty() => break,
-            None => return Err("expected `,` between fields".to_string()),
-        }
-    }
-    Ok(fields)
-}
-
-/// Parses a leading JSON string, returning `(decoded, remainder)`.
-fn parse_json_string(s: &str) -> Result<(String, &str), String> {
-    let rest = s.strip_prefix('"').ok_or_else(|| "expected `\"`".to_string())?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &rest[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, c @ ('"' | '\\' | '/'))) => out.push(c),
-                Some((j, 'u')) => {
-                    let hex = rest.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                    let code =
-                        u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
-                    out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                _ => return Err("bad escape in string".to_string()),
+fn parse_record_fields(
+    line: &str,
+    what: &str,
+    lineno: usize,
+) -> Result<Vec<(String, FieldValue)>, String> {
+    let value = json::parse(line)
+        .map_err(|e| format!("{what} line {}:{}: {}", lineno + e.line - 1, e.col, e.msg))?;
+    let Value::Object(members) = value else {
+        return Err(format!("{what} line {lineno}: not a JSON object"));
+    };
+    members
+        .into_iter()
+        .map(|(name, value)| match value {
+            Value::Str(s) => Ok((name, FieldValue::Str(s))),
+            other => match other.as_u64() {
+                Some(n) => Ok((name, FieldValue::Num(n))),
+                None => Err(format!("{what} line {lineno}: `{name}` is not a string or a u64")),
             },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
+        })
+        .collect()
 }
 
 /// Renders ordered `(name, value)` fields as one compact JSON line (no
 /// trailing newline).
 #[must_use]
-pub fn render_record(fields: &[(String, FieldValue)]) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":", dide_obs::json_escape(name)));
-        match value {
-            FieldValue::Str(s) => out.push_str(&format!("\"{}\"", dide_obs::json_escape(s))),
-            FieldValue::Num(n) => out.push_str(&n.to_string()),
-        }
-    }
-    out.push('}');
-    out
+pub fn render_record(fields: Vec<(String, FieldValue)>) -> String {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(name, value)| match value {
+                FieldValue::Str(s) => (name, Value::Str(s)),
+                FieldValue::Num(n) => (name, Value::from(n)),
+            })
+            .collect(),
+    )
+    .to_compact()
 }
 
 fn cursor_path(store: &Path) -> PathBuf {
@@ -166,7 +119,7 @@ pub struct Cursor {
 
 impl Cursor {
     fn render(&self) -> String {
-        render_record(&[
+        render_record(vec![
             ("schema".to_string(), FieldValue::Str(CURSOR_SCHEMA.to_string())),
             ("grid".to_string(), FieldValue::Str(self.grid.clone())),
             ("records".to_string(), FieldValue::Num(self.records)),
@@ -174,30 +127,18 @@ impl Cursor {
         ])
     }
 
-    fn parse(text: &str) -> Result<Cursor, String> {
-        let fields = parse_record_fields(text.lines().next().unwrap_or(""))?;
-        let get = |name: &str| {
-            fields
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| format!("cursor is missing `{name}`"))
-        };
-        match get("schema")? {
-            FieldValue::Str(s) if s == CURSOR_SCHEMA => {}
-            other => return Err(format!("unsupported cursor schema {other:?}")),
+    fn parse(text: &str, what: &str) -> Result<Cursor, String> {
+        let fields = parse_record_fields(text, what, 1)?;
+        let field = |name: &str| fields.iter().find(|(n, _)| n == name).map(|(_, v)| v);
+        match (field("schema"), field("grid"), field("records"), field("bytes")) {
+            (
+                Some(FieldValue::Str(schema)),
+                Some(FieldValue::Str(grid)),
+                Some(&FieldValue::Num(records)),
+                Some(&FieldValue::Num(bytes)),
+            ) if schema == CURSOR_SCHEMA => Ok(Cursor { grid: grid.clone(), records, bytes }),
+            _ => Err(format!("{what}: not a {CURSOR_SCHEMA} cursor")),
         }
-        let grid = match get("grid")? {
-            FieldValue::Str(s) => s,
-            FieldValue::Num(_) => return Err("cursor `grid` must be a string".to_string()),
-        };
-        let num = |v: FieldValue, name: &str| match v {
-            FieldValue::Num(n) => Ok(n),
-            FieldValue::Str(_) => Err(format!("cursor `{name}` must be an integer")),
-        };
-        let records = num(get("records")?, "records")?;
-        let bytes = num(get("bytes")?, "bytes")?;
-        Ok(Cursor { grid, records, bytes })
     }
 }
 
@@ -228,7 +169,7 @@ impl StoreWriter {
         flush_every: u64,
     ) -> io::Result<StoreWriter> {
         let mut file = File::create(path)?;
-        let header = render_record(&[
+        let header = render_record(vec![
             ("schema".to_string(), FieldValue::Str(CAMPAIGN_STORE_SCHEMA.to_string())),
             ("grid".to_string(), FieldValue::Str(grid_fingerprint.to_string())),
             ("jobs".to_string(), FieldValue::Num(jobs_unique)),
@@ -264,9 +205,11 @@ impl StoreWriter {
         flush_every: u64,
     ) -> io::Result<StoreWriter> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let cursor_text = fs::read_to_string(cursor_path(path))
+        let cursor_path = cursor_path(path);
+        let cursor_text = fs::read_to_string(&cursor_path)
             .map_err(|e| bad(format!("cannot read cursor for {}: {e}", path.display())))?;
-        let cursor = Cursor::parse(&cursor_text).map_err(bad)?;
+        let cursor =
+            Cursor::parse(&cursor_text, &cursor_path.display().to_string()).map_err(bad)?;
         if cursor.grid != grid_fingerprint {
             return Err(bad(format!(
                 "cursor grid {} does not match this campaign grid {grid_fingerprint}",
@@ -275,7 +218,7 @@ impl StoreWriter {
         }
         let contents = fs::read_to_string(path)?;
         let header_line = contents.lines().next().unwrap_or("");
-        let header = parse_record_fields(header_line).map_err(bad)?;
+        let header = parse_record_fields(header_line, "store", 1).map_err(bad)?;
         match header.iter().find(|(n, _)| n == "grid") {
             Some((_, FieldValue::Str(g))) if g == grid_fingerprint => {}
             _ => return Err(bad("store header grid mismatch".to_string())),
@@ -377,28 +320,26 @@ impl StoreReader {
     ///
     /// Malformed header or a malformed non-final record.
     pub fn parse(contents: &str) -> Result<StoreReader, String> {
-        let mut lines = contents.split_inclusive('\n');
-        let header_line = lines.next().ok_or_else(|| "store is empty (no header)".to_string())?;
+        let lines: Vec<&str> = contents.split_inclusive('\n').collect();
+        let Some(header_line) = lines.first() else {
+            return Err("store is empty (no header)".to_string());
+        };
         if !header_line.ends_with('\n') {
             return Err("store header is torn".to_string());
         }
-        let header = parse_record_fields(header_line)?;
+        let header = parse_record_fields(header_line, "store", 1)?;
         match header.iter().find(|(n, _)| n == "schema") {
             Some((_, FieldValue::Str(s))) if s == CAMPAIGN_STORE_SCHEMA => {}
-            other => return Err(format!("unsupported store schema: {other:?}")),
+            _ => return Err(format!("store line 1: schema is not {CAMPAIGN_STORE_SCHEMA}")),
         }
-        let mut records = Vec::new();
-        let mut pending: Option<String> = None;
-        for line in lines {
-            if let Some(torn) = pending.take() {
-                return Err(format!("malformed record before end of store: {torn}"));
-            }
-            let complete = line.ends_with('\n');
-            match parse_record_fields(line) {
-                Ok(fields) if complete => records.push(fields),
-                // A torn or unparseable final line is dropped; remember it
-                // so the same defect mid-file still errors.
-                _ => pending = Some(line.trim_end().to_string()),
+        let mut records = Vec::with_capacity(lines.len() - 1);
+        for (i, line) in lines.iter().enumerate().skip(1) {
+            match parse_record_fields(line, "store", i + 1) {
+                Ok(fields) if line.ends_with('\n') => records.push(fields),
+                // A torn or unparseable final line is dropped (crash
+                // semantics); the same defect before the end is an error.
+                Err(e) if i + 1 < lines.len() => return Err(e),
+                _ => {}
             }
         }
         Ok(StoreReader { header, records })
@@ -423,7 +364,7 @@ mod tests {
     }
 
     fn record(seq: u64, bench: &str) -> String {
-        render_record(&[
+        render_record(vec![
             ("seq".to_string(), FieldValue::Num(seq)),
             ("benchmark".to_string(), FieldValue::Str(bench.to_string())),
         ])
@@ -436,15 +377,15 @@ mod tests {
             ("seq".to_string(), FieldValue::Num(3)),
             ("name".to_string(), FieldValue::Str("a\"b\\c".to_string())),
         ];
-        let line = render_record(&fields);
-        assert_eq!(parse_record_fields(&line).unwrap(), fields);
+        let line = render_record(fields.clone());
+        assert_eq!(parse_record_fields(&line, "store", 2).unwrap(), fields);
     }
 
     #[test]
     fn header_record_and_cursor_bytes_are_pinned() {
         let path = tmp("pinned");
         let mut w = StoreWriter::create(&path, "f00d", 2, 1).unwrap();
-        let line = render_record(&[
+        let line = render_record(vec![
             ("schema".to_string(), FieldValue::Str("dide-stats/v1".to_string())),
             ("seq".to_string(), FieldValue::Num(3)),
             ("name".to_string(), FieldValue::Str("a\"b\\c\u{1}".to_string())),
@@ -471,10 +412,12 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse_record_fields("not json").is_err());
-        assert!(parse_record_fields("{\"a\":}").is_err());
-        assert!(parse_record_fields("{\"a\":1.5}").is_err());
-        assert!(parse_record_fields("{\"a\":1 \"b\":2}").is_err());
+        let err = |line: &str| parse_record_fields(line, "store", 2).unwrap_err();
+        assert_eq!(err("not json"), "store line 2:1: expected a value, found `n`");
+        assert_eq!(err("{\"a\":}"), "store line 2:6: expected a value, found `}`");
+        assert_eq!(err("{\"a\":1.5}"), "store line 2: `a` is not a string or a u64");
+        assert_eq!(err("{\"a\":1 \"b\":2}"), "store line 2:8: expected `,` or `}`, found `\"`");
+        assert_eq!(err("[1]"), "store line 2: not a JSON object");
     }
 
     #[test]
@@ -501,7 +444,8 @@ mod tests {
         let r = StoreReader::parse(&contents).unwrap();
         assert_eq!(r.records.len(), 1, "torn tail dropped");
         let damaged = contents.clone() + "\n" + &record(2, "sort") + "\n";
-        assert!(StoreReader::parse(&damaged).is_err(), "mid-file damage must not be silent");
+        let err = StoreReader::parse(&damaged).unwrap_err();
+        assert_eq!(err, "store line 3:16: unescaped control character '\\n' in string");
     }
 
     #[test]
@@ -530,5 +474,11 @@ mod tests {
         drop(w);
         let err = StoreWriter::resume(&path, "beef", 1).unwrap_err();
         assert!(err.to_string().contains("does not match"), "{err}");
+        fs::write(cursor_path(&path), "{\"grid\":\"f00d\",").unwrap();
+        let err = StoreWriter::resume(&path, "f00d", 1).unwrap_err().to_string();
+        assert!(
+            err.ends_with(".cursor line 1:16: expected a string key, found end of input"),
+            "{err}"
+        );
     }
 }

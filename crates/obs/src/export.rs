@@ -1,62 +1,16 @@
-//! Deterministic export helpers for counter registries.
-//!
-//! Hand-rolled like `BENCH.json`: the build host has no crates.io access,
-//! so there is no serde — and the formats are small and flat enough that a
-//! fixed layout (registration order, 2-space indentation) doubles as the
-//! schema's determinism guarantee.
+//! Deterministic export of counter registries: as a [`json`](crate::json)
+//! object for the `dide-stats/v1` schema, or as CSV. Both list counters in
+//! registration order, which doubles as the schema's determinism
+//! guarantee.
 
 use crate::counters::CounterSet;
+use crate::json::Value;
 
-/// Escapes a string for embedding in a JSON document.
+/// The registry as a JSON object of integer members, in registration
+/// order.
 #[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the registry as a JSON object (one counter per line, in
-/// registration order), indented by `indent` spaces.
-#[must_use]
-pub fn counters_json(set: &CounterSet, indent: usize) -> String {
-    let pad = " ".repeat(indent);
-    let inner = " ".repeat(indent + 2);
-    let mut out = String::from("{\n");
-    let last = set.len().saturating_sub(1);
-    for (i, (name, value)) in set.iter().enumerate() {
-        out.push_str(&inner);
-        out.push_str(&format!("\"{}\": {value}", json_escape(name)));
-        out.push_str(if i < last { ",\n" } else { "\n" });
-    }
-    out.push_str(&pad);
-    out.push('}');
-    out
-}
-
-/// Renders the registry as a single-line JSON object in registration
-/// order — the record shape of the campaign engine's append-only JSONL
-/// store, where one document per line is the format's contract.
-#[must_use]
-pub fn counters_json_compact(set: &CounterSet) -> String {
-    let mut out = String::from("{");
-    for (i, (name, value)) in set.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{value}", json_escape(name)));
-    }
-    out.push('}');
-    out
+pub fn counters_json(set: &CounterSet) -> Value {
+    Value::object(set.iter().map(|(name, value)| (name, Value::from(value))))
 }
 
 /// Renders the registry as CSV: a `counter,value` header then one row per
@@ -84,15 +38,13 @@ mod tests {
 
     #[test]
     fn json_object_is_ordered_and_balanced() {
-        let json = counters_json(&sample(), 2);
-        assert_eq!(json, "{\n    \"pipeline.cycles\": 12,\n    \"pipeline.committed\": 34\n  }");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json = counters_json(&sample()).to_pretty();
+        assert_eq!(json, "{\n  \"pipeline.cycles\": 12,\n  \"pipeline.committed\": 34\n}");
     }
 
     #[test]
     fn empty_registry_renders_an_empty_object() {
-        let json = counters_json(&CounterSet::new(), 0);
-        assert_eq!(json, "{\n}");
+        assert_eq!(counters_json(&CounterSet::new()).to_pretty(), "{}");
     }
 
     #[test]
@@ -103,7 +55,8 @@ mod tests {
 
     #[test]
     fn escaping_covers_quotes_and_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let mut set = CounterSet::new();
+        set.record("a\"b\\c\nd\u{1}", 1);
+        assert_eq!(counters_json(&set).to_compact(), r#"{"a\"b\\c\nd\u0001":1}"#);
     }
 }

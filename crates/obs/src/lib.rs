@@ -14,13 +14,16 @@
 //! * [`Rule`] / [`check_rules`] — conservation laws over counter names
 //!   (`a + b == c`, `x <= y + k`). The pipeline's per-run invariants and
 //!   `dide-verify`'s cross-run laws are both expressed this way, against
-//!   one registry, instead of as hand-rolled field comparisons.
+//!   one registry, instead of as ad-hoc field comparisons.
 //! * [`EventTrace`] — an optional, runtime-toggled ring buffer of
 //!   cycle-stamped events (per-stage occupancy samples, predictor verdicts,
 //!   eliminations, violations). Disabled runs pass `None` and pay one
 //!   branch per cycle; `dide bench` tracks that overhead.
-//! * [`export`] — deterministic hand-rolled JSON/CSV rendering for the
-//!   `dide-stats/v1` schema (the build host has no serde).
+//! * [`json`] — the workspace's one JSON layer: an ordered [`json::Value`]
+//!   tree, one writer and one strict parser with `line:col` errors. Stats
+//!   documents, `BENCH.json` and the campaign store all go through it.
+//! * [`export`] — deterministic JSON/CSV export of a registry for the
+//!   `dide-stats/v1` schema.
 //!
 //! # Example
 //!
@@ -47,9 +50,10 @@
 mod counters;
 mod events;
 pub mod export;
+pub mod json;
 mod rules;
 
 pub use counters::{CounterSet, Observe, Scope};
 pub use events::{CycleEvent, EventKind, EventTrace, EventsConfig};
-pub use export::{counters_csv, counters_json, counters_json_compact, json_escape};
+pub use export::{counters_csv, counters_json};
 pub use rules::{check_rules, Expr, Rule};

@@ -81,6 +81,68 @@ fn campaign_rejects_bad_flags() {
     );
 }
 
+/// A fresh per-test scratch directory under the system temp dir.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dide-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+#[test]
+fn bench_rejects_bad_baselines_before_measuring() {
+    // A baseline that cannot be read, parsed or is of another schema fails
+    // the gate closed, before anything is measured: one line naming the
+    // file (and line:col), and no report written.
+    let dir = scratch_dir("baseline");
+    let out = dir.join("out.json");
+    let check = |name: &str, contents: Option<&str>, fragments: &[&str]| {
+        let baseline = dir.join(name);
+        if let Some(contents) = contents {
+            std::fs::write(&baseline, contents).expect("write baseline");
+        }
+        let args = [
+            "bench",
+            "--quick",
+            "--out",
+            out.to_str().expect("utf-8 temp path"),
+            "--check-against",
+            baseline.to_str().expect("utf-8 temp path"),
+        ];
+        assert_one_line_error(&args, fragments);
+        assert!(!out.exists(), "{name}: a rejected baseline must leave --out unwritten");
+    };
+    check("garbage.json", Some("this is not json"), &["garbage.json:1:1: expected a value"]);
+    check(
+        "v3.json",
+        Some("{\"schema\": \"dide-bench/v3\"}"),
+        &["v3.json: schema is dide-bench/v3, expected dide-bench/v4"],
+    );
+    check("missing.json", None, &["cannot read", "missing.json"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn campaign_report_names_the_damaged_store_line() {
+    // Only a torn final line is forgiven; damage before the end is a
+    // one-line error naming the line and column.
+    let dir = scratch_dir("store");
+    let store = dir.join("damaged.jsonl");
+    let contents = concat!(
+        "{\"schema\":\"dide-campaign-store/v1\",\"grid\":\"f00d\",\"jobs\":3}\n",
+        "{\"seq\":0,\"benchmark\":\"expr\"}\n",
+        "{\"seq\":1,\"benchmark\":\"rou\n",
+        "{\"seq\":2,\"benchmark\":\"sort\"}\n",
+    );
+    std::fs::write(&store, contents).expect("write store");
+    let path = store.to_str().expect("utf-8 temp path");
+    assert_one_line_error(
+        &["campaign", "report", "--store", path],
+        &["damaged.jsonl", "store line 3:26:"],
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn stats_happy_path_emits_schema() {
     let out = dide(&["stats", "--benchmark", "route", "--json"]);
