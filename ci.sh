@@ -2,7 +2,8 @@
 # The full CI gate, runnable locally. Mirrors .github/workflows/ci.yml:
 #
 #   ./ci.sh            # fmt + clippy + tier-1 (release build + full tests)
-#                      # + differential verify + golden tables
+#                      # + experiment determinism + differential verify
+#                      # + golden tables
 #                      # + smoke stages + perfbench self-test
 #   ./ci.sh --deep     # same, with 256 property-test cases per property
 #                      # and a 256-seed verify sweep
@@ -33,6 +34,14 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== experiment determinism smoke =="
+# The printed tables must be byte-identical for any --jobs value.
+cargo run --release --bin dide -- experiments --only e1,e10 --jobs 1 > serial.txt
+cargo run --release --bin dide -- experiments --only e1,e10 --jobs 4 > parallel.txt
+cmp serial.txt parallel.txt \
+  || { echo "experiment tables differ between --jobs 1 and --jobs 4" >&2; exit 1; }
+rm -f serial.txt parallel.txt
 
 echo "== asm frontend: assemble, round-trip, diagnostic drift =="
 # Every shipped .asm file must assemble from its on-disk text (the builtin
