@@ -7,11 +7,11 @@
 //! a machine-readable `BENCH.json` through [`dide_obs::json`], with a fixed
 //! key order so diffs are stable. CI runs `dide bench --quick
 //! --check-against BENCH.json` as a smoke stage: the run's document is
-//! compared against the committed baseline block by block ([`GATES`]), and
-//! the gate fails closed on a baseline that is unreadable, of another
-//! schema, or lacks an entry the run measured. Comparing two `BENCH.json`
-//! files from different commits is how analyze/trace-phase regressions are
-//! caught (see `TESTING.md`).
+//! compared against the committed baseline block by block (the `GATES`
+//! table), and the gate fails closed on a baseline that is unreadable, of
+//! another schema, or lacks an entry the run measured. Comparing two
+//! `BENCH.json` files from different commits is how analyze/trace-phase
+//! regressions are caught (see `TESTING.md`).
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -429,10 +429,10 @@ pub fn load_baseline(path: &Path) -> Result<Value, String> {
     }
 }
 
-/// Compares the document a run rendered against a baseline through
-/// [`GATES`]: one verdict line per compared field, `ok`, `REGRESSION` or
-/// `DETERMINISM REGRESSION`. Baseline entries the run did not measure are
-/// ignored.
+/// Compares the document a run rendered against a baseline through the
+/// `GATES` table: one verdict line per compared field, `ok`, `REGRESSION`
+/// or `DETERMINISM REGRESSION`. Baseline entries the run did not measure
+/// are ignored.
 ///
 /// # Errors
 ///

@@ -55,8 +55,8 @@ pub mod verifyrun;
 mod workbench;
 
 pub use benchrun::{
-    check_against, load_baseline, measure_events_overhead, run_bench, BenchOptions, BenchRun,
-    EventsOverhead, RegressionCheck, StreamMeasurement,
+    check_against, measure_events_overhead, run_bench, BenchOptions, BenchRun, EventsOverhead,
+    RegressionCheck, StreamMeasurement,
 };
 pub use campaign::{
     bench_grid, campaign_rules, expand_grid, measure_campaign_throughput, run_campaign,
