@@ -320,8 +320,8 @@ impl ClusterOverhead {
 /// # Errors
 ///
 /// Returns a one-line message if the baseline cannot be read, parsed or is
-/// of another schema (see [`load_baseline`]), or if the output file cannot
-/// be written.
+/// of another schema (naming `path:line:col` for a parse error), or if the
+/// output file cannot be written.
 ///
 /// # Panics
 ///
@@ -415,7 +415,7 @@ pub fn run_bench(options: &BenchOptions) -> Result<BenchRun, String> {
 ///
 /// A one-line message naming `path` — with `line:col` for a parse error —
 /// when the file cannot be read, is not JSON, or has another schema.
-pub fn load_baseline(path: &Path) -> Result<Value, String> {
+fn load_baseline(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc = json::parse(&text).map_err(|e| format!("{}:{e}", path.display()))?;
@@ -620,7 +620,7 @@ fn measure(spec: WorkloadSpec, opt: OptLevel, scale: u32) -> BenchMeasurement {
 /// Builds the `BENCH.json` document: fixed key order, benchmarks in
 /// measurement order.
 #[must_use]
-pub fn bench_document(
+fn bench_document(
     scales: &[u32],
     measurements: &[BenchMeasurement],
     streams: &[StreamMeasurement],
