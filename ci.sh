@@ -75,11 +75,14 @@ rm -f stats.json
 
 echo "== bench smoke + regression check =="
 # Writes to a scratch file so the committed baseline BENCH.json is never
-# clobbered, and compares the simulate phase against it. The tolerance is
-# deliberately generous (>2x AND >5ms before it fails): CI runs on a
+# clobbered, and compares the run against it. The gate fails closed: a
+# baseline it cannot read or parse fails before measuring, and one that
+# lacks an entry the run measured fails the check. The timing tolerance
+# is deliberately generous (>2x AND >5ms before it fails): CI runs on a
 # single shared CPU where wall-clock jitters by tens of percent, so this
 # gate only catches order-of-magnitude simulate-phase regressions, not
-# tuning drift. Refresh the baseline with:
+# tuning drift. A new enrollment needs the baseline refreshed in the same
+# change:
 #   cargo run --release --bin dide -- bench --out BENCH.json
 cargo run --release --bin dide -- bench --quick --out BENCH.ci.json --check-against BENCH.json
 # The perf harness must produce a non-empty, well-formed report.

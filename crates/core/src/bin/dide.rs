@@ -143,9 +143,12 @@ BENCH (perf tracking):
                every phase is re-run uncached; wall-clock goes to stderr,
                machine-readable nanoseconds go to the JSON file
   --check-against PATH
-               compare the simulate phase against a committed BENCH.json
-               and exit 1 on a >2x (and >5ms) slowdown; the tolerance is
-               generous because CI timings on a shared CPU are noisy
+               compare the run against a committed BENCH.json, read and
+               checked before measuring; exit 1 if it is unreadable, not
+               dide-bench/v4 or lacks an entry this run measured, on any
+               drift in an exact field, or on a >2x (and >5ms) slowdown;
+               the tolerance is generous because CI timings on a shared
+               CPU are noisy
 
 VERIFY (differential fuzzing):
   --seeds N    fresh random seeds to check (default 64); each seed runs the
