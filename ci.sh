@@ -150,13 +150,14 @@ rm -f cluster.ci1.jsonl cluster.ci1.jsonl.cursor cluster.ci4.jsonl cluster.ci4.j
 
 echo "== streaming smoke (bounded memory) =="
 # The streamed pipeline must survive an address-space budget that the
-# materializing path cannot: expr at scale 16 materializes a ~53 MiB
-# trace (doubled again inside the emulator's growth pattern and the
-# analysis verdict arrays), while the streamed path retains at most two
-# 65536-record epochs (~5 MiB). Measured floors: the materializing run
-# aborts below ~256 MiB of address space, the streamed run survives
-# down to 24 MiB — so a 128 MiB budget has 2x margin on both sides.
-STREAM_VM_KB=131072
+# materializing path cannot: expr at scale 16 materializes a ~42 MiB
+# trace of 32-byte records (plus the emulator's buffer growth and the
+# analysis's per-record tables while they run), while the streamed path
+# retains at most two 65536-record epochs (~4 MiB). Measured floors: the
+# materializing run aborts below ~104 MiB of address space, the streamed
+# run survives down to ~12 MiB — so a 48 MiB budget has 2x margin on
+# both sides.
+STREAM_VM_KB=49152
 DIDE=./target/release/dide
 ( ulimit -v "${STREAM_VM_KB}"; "${DIDE}" run expr --scale 16 --stream > /dev/null ) \
   || { echo "streamed run of expr@s16 failed under ulimit -v ${STREAM_VM_KB}" >&2; exit 1; }

@@ -11,14 +11,13 @@ use crate::verdict::{DeadKind, Verdict};
 /// Exact deadness labels for every dynamic instruction of a trace.
 ///
 /// Produced by [`DeadnessAnalysis::analyze`]; see the [crate docs](crate)
-/// for the definitions and an example.
+/// for the definitions and an example. Only the verdicts and their tallies
+/// are kept: the producer table the analysis builds is dropped once the
+/// backward pass has consumed it, so a cached analysis costs one byte per
+/// record.
 #[derive(Debug, Clone)]
 pub struct DeadnessAnalysis {
     verdicts: Vec<Verdict>,
-    /// Flat producer table: `producers[offsets[i]..offsets[i + 1]]` are the
-    /// seqs whose values record `i` read.
-    producers: Vec<u64>,
-    offsets: Vec<usize>,
     stats: DeadStats,
 }
 
@@ -75,6 +74,71 @@ impl Forward {
             producers: Vec::with_capacity(n * 2),
             offsets,
         }
+    }
+
+    /// The forward pass: resolves every read of `records`
+    /// (`records[i].seq == i`) to its producers, and leaves first-level
+    /// deadness hints for the backward pass.
+    fn run(records: &[DynInst]) -> Forward {
+        let mut fwd = Forward::new(records.len());
+        for r in records {
+            let seq = r.seq;
+            match r.op.kind() {
+                OpcodeKind::AluRR => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.read_reg(r.rs2, seq);
+                    fwd.end_reads();
+                    fwd.write_reg(r.rd, seq);
+                }
+                OpcodeKind::AluRI => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.end_reads();
+                    fwd.write_reg(r.rd, seq);
+                }
+                OpcodeKind::LoadImm | OpcodeKind::Jal => {
+                    fwd.end_reads();
+                    fwd.write_reg(r.rd, seq);
+                }
+                OpcodeKind::Load { .. } => {
+                    fwd.read_reg(r.rs1, seq);
+                    if let Some(acc) = r.mem() {
+                        fwd.read_mem(acc, seq);
+                    }
+                    fwd.end_reads();
+                    fwd.write_reg(r.rd, seq);
+                }
+                OpcodeKind::Store { .. } => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.read_reg(r.rs2, seq);
+                    fwd.end_reads();
+                    if let Some(acc) = r.mem() {
+                        fwd.write_mem(acc, seq);
+                    }
+                }
+                OpcodeKind::Branch(_) => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.read_reg(r.rs2, seq);
+                    fwd.end_reads();
+                }
+                OpcodeKind::Jalr => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.end_reads();
+                    fwd.write_reg(r.rd, seq);
+                }
+                OpcodeKind::Out => {
+                    fwd.read_reg(r.rs1, seq);
+                    fwd.end_reads();
+                }
+                OpcodeKind::Halt | OpcodeKind::Nop => fwd.end_reads(),
+            }
+        }
+        fwd
+    }
+
+    /// The producer seqs whose values record `seq` read.
+    #[cfg(test)]
+    fn producers(&self, seq: usize) -> &[u64] {
+        &self.producers[self.offsets[seq]..self.offsets[seq + 1]]
     }
 
     /// Resolves a read of producer `w` by the consumer `stamp` (its seq):
@@ -225,60 +289,7 @@ impl DeadnessAnalysis {
         debug_assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
 
         // ---- forward pass: resolve reads to producers ----
-        let mut fwd = Forward::new(n);
-        for r in records {
-            let seq = r.seq;
-            match r.op.kind() {
-                OpcodeKind::AluRR => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::AluRI => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::LoadImm | OpcodeKind::Jal => {
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Load { .. } => {
-                    fwd.read_reg(r.rs1, seq);
-                    if let Some(acc) = r.mem() {
-                        fwd.read_mem(acc, seq);
-                    }
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Store { .. } => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                    if let Some(acc) = r.mem() {
-                        fwd.write_mem(acc, seq);
-                    }
-                }
-                OpcodeKind::Branch(_) => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                }
-                OpcodeKind::Jalr => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Out => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                }
-                OpcodeKind::Halt | OpcodeKind::Nop => fwd.end_reads(),
-            }
-        }
-
-        let Forward { reg_writer, mut state, producers, offsets, .. } = fwd;
+        let Forward { reg_writer, mut state, producers, offsets, .. } = Forward::run(records);
 
         // End of program: register values still pending were never read.
         // (Stores are classified during the backward pass below: a store's
@@ -354,7 +365,7 @@ impl DeadnessAnalysis {
             verdicts[seq] = verdict;
         }
 
-        DeadnessAnalysis { verdicts, producers, offsets, stats }
+        DeadnessAnalysis { verdicts, stats }
     }
 
     /// The verdict for dynamic instruction `seq`.
@@ -377,13 +388,6 @@ impl DeadnessAnalysis {
     #[must_use]
     pub fn verdicts(&self) -> &[Verdict] {
         &self.verdicts
-    }
-
-    /// The producer seqs whose values dynamic instruction `seq` read.
-    #[must_use]
-    pub fn producers(&self, seq: u64) -> &[u64] {
-        let seq = seq as usize;
-        &self.producers[self.offsets[seq]..self.offsets[seq + 1]]
     }
 
     /// Aggregated deadness counters.
@@ -415,6 +419,12 @@ mod tests {
         let trace = Emulator::new(&b.build().unwrap()).run().unwrap();
         let a = DeadnessAnalysis::analyze(&trace);
         (trace, a)
+    }
+
+    /// The forward pass's producer table for `b`'s trace.
+    fn forward(b: ProgramBuilder) -> Forward {
+        let trace = Emulator::new(&b.build().unwrap()).run().unwrap();
+        Forward::run(trace.records())
     }
 
     #[test]
@@ -576,10 +586,10 @@ mod tests {
         b.add(Reg::T2, Reg::T0, Reg::T1); // 2 reads 0 and 1
         b.out(Reg::T2); // 3 reads 2
         b.halt();
-        let (_, a) = analyze(b);
-        assert_eq!(a.producers(2), &[0, 1]);
-        assert_eq!(a.producers(3), &[2]);
-        assert_eq!(a.producers(0), &[] as &[u64]);
+        let fwd = forward(b);
+        assert_eq!(fwd.producers(2), &[0, 1]);
+        assert_eq!(fwd.producers(3), &[2]);
+        assert_eq!(fwd.producers(0), &[] as &[u64]);
     }
 
     #[test]
@@ -589,8 +599,7 @@ mod tests {
         b.add(Reg::T1, Reg::T0, Reg::T0); // 1 reads 0 twice
         b.out(Reg::T1);
         b.halt();
-        let (_, a) = analyze(b);
-        assert_eq!(a.producers(1), &[0]);
+        assert_eq!(forward(b).producers(1), &[0]);
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl StreamedDeadness {
     }
 
     /// Peak retained *trace* memory of the analysis pass: one reused epoch
-    /// buffer. (The verdict vector — 2 bytes per record — is the analysis
+    /// buffer. (The verdict vector — 1 byte per record — is the analysis
     /// *output* and is excluded, as is the carried shadow frontier, which
     /// scales with the touched byte-address footprint, not trace length.)
     #[must_use]

@@ -44,7 +44,7 @@ const WIDTH_MASK: u8 = 0b111;
 /// `seq` numbers are dense: the `i`-th record of a [`Trace`](crate::Trace)
 /// has `seq == i`.
 ///
-/// The record is deliberately packed to 40 bytes (pinned by a test): traces
+/// The record is deliberately packed to 32 bytes (pinned by a test): traces
 /// run to tens of millions of records and the streaming pipeline keeps
 /// several epochs of them resident, so every byte here is multiplied by
 /// the epoch budget. The static operand fields (`op`, `rd`, `rs1`, `rs2`)
@@ -56,9 +56,6 @@ const WIDTH_MASK: u8 = 0b111;
 pub struct DynInst {
     /// Position in the dynamic instruction stream (dense, from 0).
     pub seq: u64,
-    /// Value produced into the destination register (0 when there is none);
-    /// for stores, the value stored.
-    pub result: u64,
     /// Starting byte address of the memory access (meaningful only when the
     /// flags byte carries a width code).
     mem_addr: u64,
@@ -89,7 +86,6 @@ impl DynInst {
         next_index: u32,
         taken: bool,
         mem: Option<MemAccess>,
-        result: u64,
     ) -> DynInst {
         let width_code = match mem.map(|m| m.width) {
             None => 0,
@@ -100,7 +96,6 @@ impl DynInst {
         };
         DynInst {
             seq,
-            result,
             mem_addr: mem.map_or(0, |m| m.addr),
             index,
             next_index,
@@ -180,14 +175,14 @@ mod tests {
     use dide_isa::{Opcode, Reg};
 
     fn di(inst: Inst) -> DynInst {
-        DynInst::new(0, 0, inst, 1, false, None, 0)
+        DynInst::new(0, 0, inst, 1, false, None)
     }
 
     #[test]
-    fn record_is_40_bytes() {
+    fn record_is_32_bytes() {
         // Streaming memory budgets are sized in units of this struct; a
         // regression here silently doubles every epoch's footprint.
-        assert_eq!(std::mem::size_of::<DynInst>(), 40);
+        assert_eq!(std::mem::size_of::<DynInst>(), 32);
     }
 
     #[test]
@@ -195,7 +190,7 @@ mod tests {
         let inst = Inst::new(Opcode::Lw, Reg::T1, Reg::T0, Reg::ZERO, 0);
         for width in [MemWidth::B1, MemWidth::B2, MemWidth::B4, MemWidth::B8] {
             let acc = MemAccess { addr: 0xdead_0000, width };
-            let r = DynInst::new(3, 7, inst, 8, false, Some(acc), 0);
+            let r = DynInst::new(3, 7, inst, 8, false, Some(acc));
             assert_eq!(r.mem(), Some(acc));
         }
         assert_eq!(di(inst).mem(), None);
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn taken_round_trips_through_flags() {
         let br = Inst::new(Opcode::Beq, Reg::ZERO, Reg::T0, Reg::T1, 9);
-        let t = DynInst::new(0, 0, br, 9, true, None, 0);
+        let t = DynInst::new(0, 0, br, 9, true, None);
         assert!(t.taken());
         assert!(!di(br).taken());
     }

@@ -172,23 +172,19 @@ impl<'p> Emulator<'p> {
             let mut next = pc + 1;
             let mut taken = false;
             let mut mem: Option<MemAccess> = None;
-            let mut result: u64 = 0;
             let mut halted = false;
 
             match inst.op.kind() {
                 OpcodeKind::AluRR => {
-                    result =
+                    let v =
                         crate::semantics::alu_rr(inst.op, self.reg(inst.rs1), self.reg(inst.rs2));
-                    self.set_reg(inst.rd, result);
+                    self.set_reg(inst.rd, v);
                 }
                 OpcodeKind::AluRI => {
-                    result = crate::semantics::alu_ri(inst.op, self.reg(inst.rs1), inst.imm);
-                    self.set_reg(inst.rd, result);
+                    let v = crate::semantics::alu_ri(inst.op, self.reg(inst.rs1), inst.imm);
+                    self.set_reg(inst.rd, v);
                 }
-                OpcodeKind::LoadImm => {
-                    result = inst.imm as u64;
-                    self.set_reg(inst.rd, result);
-                }
+                OpcodeKind::LoadImm => self.set_reg(inst.rd, inst.imm as u64),
                 OpcodeKind::Load { width, signed } => {
                     let addr = self.reg(inst.rs1).wrapping_add(inst.imm as u64);
                     let bytes = width.bytes();
@@ -196,8 +192,8 @@ impl<'p> Emulator<'p> {
                         return Err(EmuError::MemFault { addr, at_seq: seq });
                     }
                     let raw = self.memory.read_le(addr, bytes);
-                    result = if signed { crate::semantics::sign_extend(raw, bytes) } else { raw };
-                    self.set_reg(inst.rd, result);
+                    let v = if signed { crate::semantics::sign_extend(raw, bytes) } else { raw };
+                    self.set_reg(inst.rd, v);
                     mem = Some(MemAccess { addr, width });
                 }
                 OpcodeKind::Store { width } => {
@@ -206,8 +202,7 @@ impl<'p> Emulator<'p> {
                     if Memory::faults(addr, bytes) {
                         return Err(EmuError::MemFault { addr, at_seq: seq });
                     }
-                    result = self.reg(inst.rs2);
-                    self.memory.write_le(addr, bytes, result);
+                    self.memory.write_le(addr, bytes, self.reg(inst.rs2));
                     mem = Some(MemAccess { addr, width });
                 }
                 OpcodeKind::Branch(cond) => {
@@ -217,8 +212,7 @@ impl<'p> Emulator<'p> {
                     }
                 }
                 OpcodeKind::Jal => {
-                    result = u64::from(pc + 1);
-                    self.set_reg(inst.rd, result);
+                    self.set_reg(inst.rd, u64::from(pc + 1));
                     next = inst.imm as u32;
                     taken = true;
                 }
@@ -227,8 +221,7 @@ impl<'p> Emulator<'p> {
                     if target >= len {
                         return Err(EmuError::BadFetch { index: target, at_seq: seq });
                     }
-                    result = u64::from(pc + 1);
-                    self.set_reg(inst.rd, result);
+                    self.set_reg(inst.rd, u64::from(pc + 1));
                     next = target as u32;
                     taken = true;
                 }
@@ -243,7 +236,7 @@ impl<'p> Emulator<'p> {
                 OpcodeKind::Nop => {}
             }
 
-            out.push(DynInst::new(seq, pc, inst, next, taken, mem, result));
+            out.push(DynInst::new(seq, pc, inst, next, taken, mem));
             self.steps += 1;
 
             if halted {
@@ -264,6 +257,9 @@ impl<'p> Emulator<'p> {
     pub fn run(mut self) -> Result<Trace, EmuError> {
         let mut records: Vec<DynInst> = Vec::new();
         while !self.fill(&mut records, usize::MAX)? {}
+        // Drop the growth slack (up to half the buffer): a materialized
+        // trace is often held for the rest of the run, or cached.
+        records.shrink_to_fit();
         Ok(Trace::from_parts(self.program.clone(), records, self.outputs))
     }
 

@@ -194,6 +194,19 @@ mod tests {
     }
 
     #[test]
+    fn run_trims_the_record_buffer() {
+        // 17 records: not a capacity the buffer's doubling growth reaches.
+        let mut b = ProgramBuilder::new("odd");
+        for _ in 0..16 {
+            b.li(Reg::T0, 1);
+        }
+        b.halt();
+        let t = Emulator::new(&b.build().unwrap()).run().unwrap();
+        assert_eq!(t.len(), 17);
+        assert_eq!(t.records.capacity(), t.len());
+    }
+
+    #[test]
     fn outputs_captured() {
         let t = sample_trace();
         assert_eq!(t.outputs(), &[3]);

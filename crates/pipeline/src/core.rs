@@ -406,8 +406,8 @@ impl Core {
         let mut eliminated_stores: HashSet<u64> = HashSet::new();
         // Last store (as `seq + 1`, 0 = none) to claim each byte, written at
         // rename in program order: the core's own producer tracking for the
-        // eliminated-store violation check, so the streamed path needs no
-        // retained producer table from the analysis.
+        // eliminated-store violation check, since no analysis, exact or
+        // streamed, keeps a producer table.
         let mut store_shadow: PagedShadow<u64> = PagedShadow::new();
         let mut rename_stalled_until = 0u64;
         // Round-robin steering cursor, advanced only on a dispatch it

@@ -3,7 +3,7 @@
 //! The core is indifferent to where its dynamic records come from: a fully
 //! materialized trace (the classic path) or a bounded sliding window over a
 //! live emulator (the streaming path). `RecordSource` is that seam. Records
-//! are 40-byte `Copy` values, so `get` returns them by value — the stream
+//! are small `Copy` values, so `get` returns them by value — the stream
 //! variant cannot hand out references into a window it is about to recycle.
 
 use dide_emu::{DynInst, TraceStream};

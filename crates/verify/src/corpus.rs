@@ -83,8 +83,10 @@ pub fn save_case(dir: &Path, case: &CorpusCase, listing: &str) -> io::Result<Pat
 ///
 /// # Errors
 ///
-/// Returns `InvalidData` on malformed or incomplete files, so a corrupted
-/// corpus fails loudly instead of silently dropping cases.
+/// Returns `InvalidData` on malformed or incomplete files, on a value too
+/// large for its field and on a configuration [`GenConfig::validate`]
+/// rejects, so a corrupted corpus fails loudly instead of silently
+/// dropping, altering or misreporting cases.
 pub fn parse_case(text: &str) -> io::Result<CorpusCase> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let mut seed = None;
@@ -117,19 +119,19 @@ pub fn parse_case(text: &str) -> io::Result<CorpusCase> {
         match key {
             "seed" => seed = Some(parse_num(value)?),
             "segments" => {
-                config.segments = parse_num(value)? as usize;
+                config.segments = narrow(key, parse_num(value)?)?;
                 saw[0] = true;
             }
             "segment_len" => {
-                config.segment_len = parse_num(value)? as usize;
+                config.segment_len = narrow(key, parse_num(value)?)?;
                 saw[1] = true;
             }
             "loop_iters" => {
-                config.loop_iters = parse_num(value)? as u32;
+                config.loop_iters = narrow(key, parse_num(value)?)?;
                 saw[2] = true;
             }
             "memory_slots" => {
-                config.memory_slots = parse_num(value)? as usize;
+                config.memory_slots = narrow(key, parse_num(value)?)?;
                 saw[3] = true;
             }
             _ => return Err(bad(format!("unknown key {key:?}"))),
@@ -139,7 +141,16 @@ pub fn parse_case(text: &str) -> io::Result<CorpusCase> {
     if !saw.iter().all(|&s| s) {
         return Err(bad("missing one of segments/segment_len/loop_iters/memory_slots".into()));
     }
+    config.validate().map_err(bad)?;
     Ok(CorpusCase { seed, config, reason })
+}
+
+/// Narrows a parsed number to a field narrower than `u64`, rejecting a
+/// value the field cannot hold instead of truncating it.
+fn narrow<T: TryFrom<u64>>(key: &str, n: u64) -> io::Result<T> {
+    T::try_from(n).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("{key} = {n} is out of range"))
+    })
 }
 
 /// Loads every `.case` file in `dir`, sorted by file name so replay order
@@ -220,6 +231,39 @@ mod tests {
         assert!(parse_case("seed = 1\nsegments = bogus").is_err(), "bad number");
         assert!(parse_case("seed = 1\nwhat = 2").is_err(), "unknown key");
         assert!(parse_case("seed = 1\nno equals here").is_err(), "not key = value");
+    }
+
+    fn case_text(segments: u64, loop_iters: u64) -> String {
+        format!(
+            "seed = 1\nsegments = {segments}\nsegment_len = 4\nloop_iters = {loop_iters}\n\
+             memory_slots = 4\n"
+        )
+    }
+
+    #[test]
+    fn oversized_loop_iters_is_rejected_not_truncated() {
+        let max = parse_case(&case_text(2, u64::from(u32::MAX))).unwrap();
+        assert_eq!(max.config.loop_iters, u32::MAX);
+        // Truncating 2^32 + 1 to 1 would replay a different program and
+        // could report the case fixed.
+        let err = parse_case(&case_text(2, (1 << 32) + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.to_string(), "loop_iters = 4294967297 is out of range");
+    }
+
+    #[test]
+    fn invalid_config_fails_to_load_naming_the_file() {
+        // A config the generator rejects cannot be replayed; loading it
+        // must fail rather than report the case as a model failure.
+        let err = parse_case(&case_text(0, 1)).unwrap_err();
+        assert!(err.to_string().contains("segments must be at least 1"), "{err}");
+        let dir = temp_dir("invalid");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(case_filename(1)), case_text(0, 1)).unwrap();
+        let err = load_corpus(&dir).unwrap_err().to_string();
+        assert!(err.contains(&case_filename(1)), "the error names the file: {err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use corpus::{load_corpus, save_case, CorpusCase};
 pub use diff::{differential_verdicts, VerdictMismatch};
 pub use golden::{bless_golden, compare_golden, golden_path, GoldenMismatch};
 pub use invariants::{check_invariants, cross_run_rules, cross_run_violations};
-pub use oracle::ReferenceOracle;
+pub use oracle::{reference_producers, ReferenceOracle};
 pub use seedcheck::{derive_config, verify_seed, verify_seed_with, SeedReport};
 pub use shrink::shrink_case;
 pub use storecheck::{canonical_store_lines, diff_stores};

@@ -10,8 +10,8 @@
 //!   the program ends) — rather than the analysis's forward displacement
 //!   hints;
 //! * usefulness comes from an explicit **worklist BFS** from the observable
-//!   roots over producer edges — rather than the analysis's single reverse
-//!   sweep over a flattened producer table.
+//!   roots over producer edges ([`reference_producers`]) — rather than the
+//!   analysis's single reverse sweep over a flattened producer table.
 //!
 //! The two implementations share only the verdict vocabulary
 //! ([`Verdict`]/[`DeadKind`]); every traversal, data structure, and
@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 
 use dide_analysis::{DeadKind, Verdict};
-use dide_emu::Trace;
+use dide_emu::{DynInst, Trace};
 use dide_isa::{OpcodeKind, Reg};
 
 /// What eventually happens, looking forward in time, to a value that is
@@ -95,6 +95,48 @@ fn is_root(kind: OpcodeKind, out_is_root: bool) -> bool {
     }
 }
 
+/// The producers of every record of `records` (`records[i].seq == i`):
+/// entry `i` lists, without duplicates and in first-read order, the seqs
+/// of the register writes and store bytes record `i` read. This is the
+/// reference oracle's own forward pass, kept public so that properties of
+/// the production analysis's verdicts can be checked against producer
+/// edges computed independently of it.
+#[must_use]
+pub fn reference_producers(records: &[DynInst]) -> Vec<Vec<u64>> {
+    let mut reg_writer: [Option<u64>; Reg::COUNT] = [None; Reg::COUNT];
+    let mut byte_writer: HashMap<u64, u64> = HashMap::new();
+    let mut producers_of: Vec<Vec<u64>> = vec![Vec::new(); records.len()];
+
+    for r in records {
+        let seq = r.seq as usize;
+        for src in r.sources() {
+            if let Some(w) = reg_writer[src.index()] {
+                if !producers_of[seq].contains(&w) {
+                    producers_of[seq].push(w);
+                }
+            }
+        }
+        if r.op.is_load() {
+            for b in r.mem().expect("loads carry a memory access").bytes() {
+                if let Some(&w) = byte_writer.get(&b) {
+                    if !producers_of[seq].contains(&w) {
+                        producers_of[seq].push(w);
+                    }
+                }
+            }
+        }
+        if let Some(rd) = r.dest() {
+            reg_writer[rd.index()] = Some(r.seq);
+        }
+        if r.op.is_store() {
+            for b in r.mem().expect("stores carry a memory access").bytes() {
+                byte_writer.insert(b, r.seq);
+            }
+        }
+    }
+    producers_of
+}
+
 fn compute_verdicts(trace: &Trace, out_is_root: bool) -> Vec<Verdict> {
     let records = trace.records();
     let n = records.len();
@@ -151,37 +193,7 @@ fn compute_verdicts(trace: &Trace, out_is_root: bool) -> Vec<Verdict> {
     }
 
     // ---- pass 2 (forward): resolve each read to its producer seq.
-    let mut reg_writer: [Option<u64>; Reg::COUNT] = [None; Reg::COUNT];
-    let mut byte_writer: HashMap<u64, u64> = HashMap::new();
-    let mut producers_of: Vec<Vec<u64>> = vec![Vec::new(); n];
-
-    for r in records {
-        let seq = r.seq as usize;
-        for src in r.sources() {
-            if let Some(w) = reg_writer[src.index()] {
-                if !producers_of[seq].contains(&w) {
-                    producers_of[seq].push(w);
-                }
-            }
-        }
-        if r.op.is_load() {
-            for b in r.mem().expect("loads carry a memory access").bytes() {
-                if let Some(&w) = byte_writer.get(&b) {
-                    if !producers_of[seq].contains(&w) {
-                        producers_of[seq].push(w);
-                    }
-                }
-            }
-        }
-        if let Some(rd) = r.dest() {
-            reg_writer[rd.index()] = Some(r.seq);
-        }
-        if r.op.is_store() {
-            for b in r.mem().expect("stores carry a memory access").bytes() {
-                byte_writer.insert(b, r.seq);
-            }
-        }
-    }
+    let producers_of = reference_producers(records);
 
     // ---- pass 3: worklist BFS from the roots over producer edges.
     //

@@ -144,6 +144,30 @@ fn campaign_report_names_the_damaged_store_line() {
 }
 
 #[test]
+fn verify_rejects_a_corpus_case_it_cannot_replay() {
+    // An out-of-range field or a config the generator rejects stops the
+    // run before any seed: one line naming the case file.
+    let dir = scratch_dir("corpus");
+    let case = dir.join("seed-0000000000000001.case");
+    let corpus = dir.to_str().expect("utf-8 temp path");
+    for (loop_iters, segments, fragment) in [
+        ("4294967297", "2", "loop_iters = 4294967297 is out of range"),
+        ("1", "0", "segments must be at least 1"),
+    ] {
+        let text = format!(
+            "seed = 1\nsegments = {segments}\nsegment_len = 4\nloop_iters = {loop_iters}\n\
+             memory_slots = 4\n"
+        );
+        std::fs::write(&case, text).expect("write case");
+        assert_one_line_error(
+            &["verify", "--seeds", "0", "--corpus", corpus],
+            &["seed-0000000000000001.case", fragment],
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn stats_happy_path_emits_schema() {
     let out = dide(&["stats", "--benchmark", "route", "--json"]);
     assert!(out.status.success());

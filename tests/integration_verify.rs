@@ -30,15 +30,21 @@ fn fuzz_sweep_is_clean_and_byte_identical_across_job_counts() {
 #[test]
 fn corpus_cases_are_replayed_before_fresh_seeds() {
     let dir = temp_dir("corpus");
-    // A clean case: replay notes it as fixed. An invalid-config case:
-    // replay reports the failure (exercising the failing path without
-    // needing a real bug in the stack).
+    // A clean case: replay notes it as fixed.
     save_case(
         &dir,
         &CorpusCase { seed: 3, config: GenConfig::default(), reason: "old failure".into() },
         "",
     )
     .unwrap();
+    let run =
+        dide::run_verify(&VerifyOptions { seeds: 2, jobs: 2, corpus: Some(dir.clone()) }).unwrap();
+    assert_eq!(run.corpus_replayed, 1);
+    assert_eq!(run.failures, 0, "{}", run.report);
+    assert!(run.report.contains("replaying 1 corpus case(s)"));
+    assert!(run.report.contains("clean (fixed"));
+    // An invalid-config case cannot be replayed: the corpus fails to load,
+    // naming the file, instead of reporting a model failure.
     save_case(
         &dir,
         &CorpusCase {
@@ -49,14 +55,11 @@ fn corpus_cases_are_replayed_before_fresh_seeds() {
         "",
     )
     .unwrap();
-    let run =
-        dide::run_verify(&VerifyOptions { seeds: 2, jobs: 2, corpus: Some(dir.clone()) }).unwrap();
-    assert_eq!(run.corpus_replayed, 2);
-    assert_eq!(run.failures, 1, "{}", run.report);
-    assert!(run.report.contains("replaying 2 corpus case(s)"));
-    assert!(run.report.contains("clean (fixed"));
-    assert!(run.report.contains("STILL FAILING"));
-    assert!(run.report.contains("invalid config"));
+    let err = dide::run_verify(&VerifyOptions { seeds: 2, jobs: 2, corpus: Some(dir.clone()) })
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("seed-0000000000000004.case"), "{err}");
+    assert!(err.contains("segments must be at least 1"), "{err}");
     fs::remove_dir_all(&dir).unwrap();
 }
 
