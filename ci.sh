@@ -152,12 +152,12 @@ echo "== streaming smoke (bounded memory) =="
 # The streamed pipeline must survive an address-space budget that the
 # materializing path cannot: expr at scale 16 materializes a ~42 MiB
 # trace of 32-byte records (plus the emulator's buffer growth and the
-# analysis's per-record tables while they run), while the streamed path
-# retains at most two 65536-record epochs (~4 MiB). Measured floors: the
-# materializing run aborts below ~104 MiB of address space, the streamed
-# run survives down to ~12 MiB — so a 48 MiB budget has 2x margin on
-# both sides.
-STREAM_VM_KB=49152
+# one-byte-per-record verdicts), while the streamed path retains at most
+# two 65536-record epochs (~4 MiB). Measured floors: the materializing
+# run aborts below ~69 MiB of address space, the streamed run survives
+# down to ~12 MiB — so a 32 MiB budget has 2x margin on both sides
+# (~2.2x and ~2.7x).
+STREAM_VM_KB=32768
 DIDE=./target/release/dide
 ( ulimit -v "${STREAM_VM_KB}"; "${DIDE}" run expr --scale 16 --stream > /dev/null ) \
   || { echo "streamed run of expr@s16 failed under ulimit -v ${STREAM_VM_KB}" >&2; exit 1; }

@@ -15,9 +15,15 @@
 //!   reads its value — this adds the **transitively dead** instructions
 //!   whose only readers are themselves dead.
 //!
-//! The analysis is two-pass: a forward pass resolves every dynamic read to
-//! the unique producing write (byte-granular for memory), and a backward
-//! pass propagates usefulness over the resulting DAG.
+//! Deadness is a backward property, so the analysis is one reverse sweep
+//! over the trace. For every architectural register and every memory byte
+//! (byte-granular, so partial overlaps resolve exactly) it tracks three
+//! bits about the value held there: whether a useful instruction reads it
+//! before it is overwritten, whether any instruction does, and whether it
+//! is overwritten at all. An instruction's verdict follows from the bits
+//! of the value it writes, and its sources inherit its usefulness, so
+//! usefulness propagates over the exact dynamic dependence graph without
+//! that graph ever being built.
 //!
 //! # Example
 //!

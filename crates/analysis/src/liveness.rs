@@ -1,7 +1,7 @@
-//! The two-pass oracle deadness algorithm.
+//! The exact deadness analysis: one reverse liveness sweep.
 
-use dide_emu::{DynInst, PagedShadow, Trace};
-use dide_isa::OpcodeKind;
+use dide_emu::{DynInst, MemAccess, PagedShadow, Trace};
+use dide_isa::{OpcodeKind, Reg};
 
 use crate::locality::LocalityCdf;
 use crate::static_profile::StaticProfile;
@@ -12,266 +12,102 @@ use crate::verdict::{DeadKind, Verdict};
 ///
 /// Produced by [`DeadnessAnalysis::analyze`]; see the [crate docs](crate)
 /// for the definitions and an example. Only the verdicts and their tallies
-/// are kept: the producer table the analysis builds is dropped once the
-/// backward pass has consumed it, so a cached analysis costs one byte per
-/// record.
+/// are kept, and the analysis builds nothing else per record, so a cached
+/// analysis costs one byte per record.
 #[derive(Debug, Clone)]
 pub struct DeadnessAnalysis {
     verdicts: Vec<Verdict>,
     stats: DeadStats,
 }
 
-/// Per-seq forward-pass bookkeeping, packed so that resolving one producer
-/// touches one 16-byte entry (one cache line) instead of three parallel
-/// arrays.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SeqState {
-    /// Stamp (seq) of the last consumer that listed this producer — the
-    /// duplicate-producer filter. Replaces the seed's
-    /// `producers[start..].contains(&w)` scan, which was quadratic in a
-    /// consumer's producer count (per-byte resolution of wide loads bit).
-    pub(crate) last_touch: u64,
-    /// For stores: bytes of the store still visible (not yet overwritten).
-    pub(crate) live_bytes: u32,
-    /// Whether any later instruction read this value.
-    pub(crate) read: bool,
-    /// First-level deadness hint, pending final classification.
-    pub(crate) hint: Option<DeadKind>,
+/// Sweep state bit: a useful record reads the value before it is
+/// overwritten.
+const LIVE: u8 = 1;
+/// Sweep state bit: some record reads the value before it is overwritten.
+const READ: u8 = 2;
+/// Sweep state bit: the value is overwritten before the program ends.
+const OVER: u8 = 4;
+
+/// The reverse sweep's state: [`LIVE`], [`READ`] and [`OVER`] bits for the
+/// value every architectural register and every byte address holds at the
+/// sweep's position, looking forward in time. All bits start clear: at the
+/// end of the program every value is unread and never overwritten.
+struct Sweep {
+    /// Indexed by register. The zero register's bits are never consulted:
+    /// writes to it define nothing.
+    regs: [u8; Reg::COUNT],
+    /// One cell per byte address.
+    mem: PagedShadow<u8>,
 }
 
-impl SeqState {
-    /// No consumer yet, no visible bytes, unread, no hint. `u64::MAX` is a
-    /// safe stamp sentinel: stamps are consumer seqs, which are dense
-    /// from 0 and bounded by the trace length.
-    pub(crate) const EMPTY: SeqState =
-        SeqState { last_touch: u64::MAX, live_bytes: 0, read: false, hint: None };
-}
-
-/// Forward-pass state: pending register writers, the byte-granular
-/// last-store shadow table, and the producer edges resolved so far.
-struct Forward {
-    /// Pending writer seq per architectural register.
-    reg_writer: [Option<u64>; dide_isa::Reg::COUNT],
-    /// Last store to claim each byte address, as `seq + 1` (0 = untouched).
-    /// One page resolution per access instead of one hash probe per byte.
-    mem_writer: PagedShadow<u64>,
-    /// Packed per-seq state, indexed by seq.
-    state: Vec<SeqState>,
-    /// Flat producer table under construction.
-    producers: Vec<u64>,
-    /// `offsets[i]..offsets[i + 1]` brackets record `i`'s producers.
-    offsets: Vec<usize>,
-}
-
-impl Forward {
-    fn new(n: usize) -> Forward {
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        Forward {
-            reg_writer: [None; dide_isa::Reg::COUNT],
-            mem_writer: PagedShadow::new(),
-            state: vec![SeqState::EMPTY; n],
-            producers: Vec::with_capacity(n * 2),
-            offsets,
-        }
-    }
-
-    /// The forward pass: resolves every read of `records`
-    /// (`records[i].seq == i`) to its producers, and leaves first-level
-    /// deadness hints for the backward pass.
-    fn run(records: &[DynInst]) -> Forward {
-        let mut fwd = Forward::new(records.len());
-        for r in records {
-            let seq = r.seq;
-            match r.op.kind() {
-                OpcodeKind::AluRR => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::AluRI => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::LoadImm | OpcodeKind::Jal => {
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Load { .. } => {
-                    fwd.read_reg(r.rs1, seq);
-                    if let Some(acc) = r.mem() {
-                        fwd.read_mem(acc, seq);
-                    }
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Store { .. } => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                    if let Some(acc) = r.mem() {
-                        fwd.write_mem(acc, seq);
-                    }
-                }
-                OpcodeKind::Branch(_) => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.read_reg(r.rs2, seq);
-                    fwd.end_reads();
-                }
-                OpcodeKind::Jalr => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                    fwd.write_reg(r.rd, seq);
-                }
-                OpcodeKind::Out => {
-                    fwd.read_reg(r.rs1, seq);
-                    fwd.end_reads();
-                }
-                OpcodeKind::Halt | OpcodeKind::Nop => fwd.end_reads(),
-            }
-        }
-        fwd
-    }
-
-    /// The producer seqs whose values record `seq` read.
-    #[cfg(test)]
-    fn producers(&self, seq: usize) -> &[u64] {
-        &self.producers[self.offsets[seq]..self.offsets[seq + 1]]
-    }
-
-    /// Resolves a read of producer `w` by the consumer `stamp` (its seq):
-    /// marks the value read and appends a producer edge unless this
-    /// consumer already listed `w`.
+impl Sweep {
+    /// A register write: returns the bits of the value it defines and
+    /// resets the register to [`OVER`], since the value it held before is
+    /// overwritten here.
     #[inline]
-    fn note_read(&mut self, w: u64, stamp: u64) {
-        let st = &mut self.state[w as usize];
-        st.read = true;
-        if st.last_touch != stamp {
-            st.last_touch = stamp;
-            self.producers.push(w);
-        }
-    }
-
-    /// Resolves a register read. No zero-register filter is needed: writes
-    /// never claim the zero register, so its slot is permanently `None`.
-    #[inline]
-    fn read_reg(&mut self, src: dide_isa::Reg, stamp: u64) {
-        if let Some(w) = self.reg_writer[src.index()] {
-            self.note_read(w, stamp);
-        }
-    }
-
-    /// Resolves a memory read, byte-granular.
-    #[inline]
-    fn read_mem(&mut self, acc: dide_emu::MemAccess, stamp: u64) {
-        let len = acc.width.bytes();
-        if !PagedShadow::<u64>::crosses_page(acc.addr, len) {
-            // Fast path: one page resolution for the whole access. The
-            // `note_read` body is inlined so the span borrow (of
-            // `mem_writer`) stays disjoint from the `state`/`producers`
-            // updates.
-            if let Some(cells) = self.mem_writer.span(acc.addr, len) {
-                for &cell in cells {
-                    if cell != 0 {
-                        let w = cell - 1;
-                        let st = &mut self.state[w as usize];
-                        st.read = true;
-                        if st.last_touch != stamp {
-                            st.last_touch = stamp;
-                            self.producers.push(w);
-                        }
-                    }
-                }
-            }
-        } else {
-            for byte in acc.bytes() {
-                let cell = self.mem_writer.get(byte);
-                if cell != 0 {
-                    self.note_read(cell - 1, stamp);
-                }
-            }
-        }
-    }
-
-    /// Closes the current record's producer bracket.
-    #[inline]
-    fn end_reads(&mut self) {
-        self.offsets.push(self.producers.len());
-    }
-
-    /// Register write: displace the previous pending writer.
-    #[inline]
-    fn write_reg(&mut self, rd: dide_isa::Reg, seq: u64) {
+    fn define_reg(&mut self, rd: Reg) -> u8 {
         if rd.is_zero() {
-            return;
+            return 0;
         }
-        if let Some(prev) = self.reg_writer[rd.index()] {
-            let prev_state = &mut self.state[prev as usize];
-            if !prev_state.read {
-                prev_state.hint = Some(DeadKind::RegOverwritten);
-            }
-        }
-        self.reg_writer[rd.index()] = Some(seq);
+        std::mem::replace(&mut self.regs[rd.index()], OVER)
     }
 
-    /// A store displaced `prev_cell`'s claim on one byte: burn one of the
-    /// previous owner's live bytes, classifying it once fully overwritten.
-    /// Self-displacement (a wrapping synthetic access revisiting its own
-    /// bytes) is skipped.
+    /// A store: returns the bits of the value it defines — [`LIVE`] and
+    /// [`READ`] when any of its bytes has them, [`OVER`] when all of them
+    /// do — and resets its bytes to [`OVER`].
     #[inline]
-    fn displace(&mut self, prev_cell: u64, claimed: u64) {
-        if prev_cell != 0 && prev_cell != claimed {
-            // A displaced owner always has a live-byte counter: bytes only
-            // enter the shadow table through `write_mem`.
-            let prev = &mut self.state[(prev_cell - 1) as usize];
-            prev.live_bytes -= 1;
-            if prev.live_bytes == 0 && !prev.read {
-                prev.hint = Some(DeadKind::StoreOverwritten);
-            }
-        }
+    fn define_mem(&mut self, acc: MemAccess) -> u8 {
+        let (mut any, mut all) = (0, OVER);
+        self.update_bytes(acc, |cell| {
+            any |= *cell;
+            all &= *cell;
+            *cell = OVER;
+        });
+        (any & (LIVE | READ)) | (all & OVER)
     }
 
-    /// Store: claim bytes, displacing previous owners.
+    /// A read by a record whose usefulness `mark` carries.
     #[inline]
-    fn write_mem(&mut self, acc: dide_emu::MemAccess, seq: u64) {
+    fn read_reg(&mut self, src: Reg, mark: u8) {
+        self.regs[src.index()] |= mark;
+    }
+
+    /// A load's read of every byte it touches.
+    #[inline]
+    fn read_mem(&mut self, acc: MemAccess, mark: u8) {
+        self.update_bytes(acc, |cell| *cell |= mark);
+    }
+
+    /// Applies `f` to the cell of every byte `acc` touches: one page
+    /// resolution for the whole access, or a byte-at-a-time fallback when
+    /// it crosses a page boundary.
+    #[inline]
+    fn update_bytes(&mut self, acc: MemAccess, mut f: impl FnMut(&mut u8)) {
         let len = acc.width.bytes();
-        let claimed = seq + 1;
-        if !PagedShadow::<u64>::crosses_page(acc.addr, len) {
-            let cells = self.mem_writer.span_mut(acc.addr, len);
-            for cell in cells {
-                let prev_cell = std::mem::replace(cell, claimed);
-                if prev_cell != 0 && prev_cell != claimed {
-                    let prev = &mut self.state[(prev_cell - 1) as usize];
-                    prev.live_bytes -= 1;
-                    if prev.live_bytes == 0 && !prev.read {
-                        prev.hint = Some(DeadKind::StoreOverwritten);
-                    }
-                }
+        if PagedShadow::<u8>::crosses_page(acc.addr, len) {
+            for byte in acc.bytes() {
+                let mut cell = self.mem.get(byte);
+                f(&mut cell);
+                self.mem.set(byte, cell);
             }
         } else {
-            for byte in acc.bytes() {
-                let prev_cell = self.mem_writer.get(byte);
-                self.mem_writer.set(byte, claimed);
-                self.displace(prev_cell, claimed);
-            }
+            self.mem.span_mut(acc.addr, len).iter_mut().for_each(f);
         }
-        self.state[seq as usize].live_bytes = len as u32;
     }
 }
 
 impl DeadnessAnalysis {
     /// Runs the analysis over a trace.
     ///
-    /// Cost is `O(n)` in trace length with byte-granular memory tracking.
-    /// Memory liveness state lives in a [`PagedShadow`] last-writer table
-    /// (one `u64` cell per byte address, holding `seq + 1`, 0 = no writer):
-    /// one page resolution per access — usually satisfied by the shadow's
-    /// page-handle cache — instead of one hash probe per byte. All per-seq
-    /// bookkeeping (consumer stamps, store live-byte counters, read flags,
-    /// deadness hints) is packed in a flat table indexed by seq, and both
-    /// passes dispatch on the opcode kind exactly once per record.
+    /// One reverse sweep, `O(n)` in trace length, with byte-granular memory
+    /// tracking. Walking from the last record to the first, a record reads
+    /// the state bits of the value it defines, resets its destination to
+    /// "overwritten", and is useful if it is a root or its value is read by
+    /// a useful record. Its reads happened before its write, so it then
+    /// marks its sources read, and live when it is useful. Byte state lives
+    /// in a [`PagedShadow`] of `u8` cells: one page resolution per access,
+    /// usually satisfied by the shadow's page-handle cache. Nothing is kept
+    /// per record but the verdict.
     #[must_use]
     pub fn analyze(trace: &Trace) -> DeadnessAnalysis {
         DeadnessAnalysis::analyze_records(trace.records())
@@ -285,84 +121,66 @@ impl DeadnessAnalysis {
     /// are trivially bit-identical.
     #[must_use]
     pub fn analyze_records(records: &[DynInst]) -> DeadnessAnalysis {
-        let n = records.len();
         debug_assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+        let mut sweep = Sweep { regs: [0; Reg::COUNT], mem: PagedShadow::new() };
+        let mut verdicts = vec![Verdict::NotEligible; records.len()];
+        let mut stats = DeadStats { total: records.len() as u64, ..DeadStats::default() };
 
-        // ---- forward pass: resolve reads to producers ----
-        let Forward { reg_writer, mut state, producers, offsets, .. } = Forward::run(records);
-
-        // End of program: register values still pending were never read.
-        // (Stores are classified during the backward pass below: a store's
-        // hint is only inspected at its own backward step, so pending
-        // unread stores need no separate sweep.)
-        for w in reg_writer.into_iter().flatten() {
-            let st = &mut state[w as usize];
-            if !st.read {
-                st.hint = Some(DeadKind::RegUnread);
-            }
-        }
-
-        // ---- backward pass: propagate usefulness over the exact DAG ----
-        // Verdicts are assigned and tallied in one sweep with a single
-        // opcode-kind dispatch per record.
-        let mut has_useful_consumer = vec![false; n];
-        let mut verdicts = vec![Verdict::NotEligible; n];
-        let mut stats = DeadStats { total: n as u64, ..DeadStats::default() };
-
-        for r in records.iter().rev() {
-            let seq = r.seq as usize;
-            let (eligible, root, is_load, is_store) = match r.op.kind() {
-                OpcodeKind::AluRR | OpcodeKind::AluRI | OpcodeKind::LoadImm => {
-                    (!r.rd.is_zero(), false, false, false)
+        for (r, verdict) in records.iter().zip(&mut verdicts).rev() {
+            let kind = r.op.kind();
+            // The bits of the value this record defines; roots (control,
+            // output, halt) are useful whatever they define.
+            let (def, eligible, root) = match kind {
+                OpcodeKind::AluRR
+                | OpcodeKind::AluRI
+                | OpcodeKind::LoadImm
+                | OpcodeKind::Load { .. } => (sweep.define_reg(r.rd), !r.rd.is_zero(), false),
+                OpcodeKind::Store { .. } => {
+                    (r.mem().map_or(0, |acc| sweep.define_mem(acc)), true, false)
                 }
-                OpcodeKind::Load { .. } => (!r.rd.is_zero(), false, true, false),
-                OpcodeKind::Store { .. } => (true, false, false, true),
-                OpcodeKind::Branch(_)
-                | OpcodeKind::Jal
-                | OpcodeKind::Jalr
-                | OpcodeKind::Halt
-                | OpcodeKind::Out => (false, true, false, false),
-                OpcodeKind::Nop => (false, false, false, false),
+                OpcodeKind::Jal | OpcodeKind::Jalr => (sweep.define_reg(r.rd), false, true),
+                OpcodeKind::Branch(_) | OpcodeKind::Halt | OpcodeKind::Out => (0, false, true),
+                OpcodeKind::Nop => (0, false, false),
             };
-            let useful = root || has_useful_consumer[seq];
+            let useful = root || def & LIVE != 0;
 
-            if useful {
-                for &p in &producers[offsets[seq]..offsets[seq + 1]] {
-                    has_useful_consumer[p as usize] = true;
+            // Its reads precede its write, so they reach the values its
+            // sources held before it, its own destination included.
+            let mark = if useful { LIVE | READ } else { READ };
+            match kind {
+                OpcodeKind::AluRR | OpcodeKind::Store { .. } | OpcodeKind::Branch(_) => {
+                    sweep.read_reg(r.rs1, mark);
+                    sweep.read_reg(r.rs2, mark);
                 }
+                OpcodeKind::AluRI | OpcodeKind::Jalr | OpcodeKind::Out => {
+                    sweep.read_reg(r.rs1, mark);
+                }
+                OpcodeKind::Load { .. } => {
+                    sweep.read_reg(r.rs1, mark);
+                    if let Some(acc) = r.mem() {
+                        sweep.read_mem(acc, mark);
+                    }
+                }
+                OpcodeKind::LoadImm | OpcodeKind::Jal | OpcodeKind::Halt | OpcodeKind::Nop => {}
             }
 
-            let st = state[seq];
-            let verdict = if !eligible {
-                Verdict::NotEligible
-            } else if useful {
+            if !eligible {
+                continue;
+            }
+            let is_store = matches!(kind, OpcodeKind::Store { .. });
+            *verdict = if useful {
                 Verdict::Useful
-            } else if st.read {
+            } else if def & READ != 0 {
                 Verdict::Dead(DeadKind::Transitive)
-            } else if is_store && st.live_bytes > 0 {
-                // Bytes of this store survived to the end of the program
-                // without being loaded.
-                Verdict::Dead(DeadKind::StoreUnread)
             } else {
-                // Any other never-read eligible value received a
-                // first-level kind hint in the forward pass.
-                Verdict::Dead(st.hint.expect("unread eligible value must have a kind"))
+                Verdict::Dead(match (is_store, def & OVER != 0) {
+                    (false, true) => DeadKind::RegOverwritten,
+                    (false, false) => DeadKind::RegUnread,
+                    (true, true) => DeadKind::StoreOverwritten,
+                    (true, false) => DeadKind::StoreUnread,
+                })
             };
-
-            stats.eligible += u64::from(eligible);
-            if let Verdict::Dead(kind) = verdict {
-                stats.dead_total += 1;
-                match kind {
-                    DeadKind::RegOverwritten => stats.reg_overwritten += 1,
-                    DeadKind::RegUnread => stats.reg_unread += 1,
-                    DeadKind::StoreOverwritten => stats.store_overwritten += 1,
-                    DeadKind::StoreUnread => stats.store_unread += 1,
-                    DeadKind::Transitive => stats.transitive += 1,
-                }
-                stats.dead_loads += u64::from(is_load);
-                stats.dead_stores += u64::from(is_store);
-            }
-            verdicts[seq] = verdict;
+            stats.count(*verdict, matches!(kind, OpcodeKind::Load { .. }), is_store);
         }
 
         DeadnessAnalysis { verdicts, stats }
@@ -419,12 +237,6 @@ mod tests {
         let trace = Emulator::new(&b.build().unwrap()).run().unwrap();
         let a = DeadnessAnalysis::analyze(&trace);
         (trace, a)
-    }
-
-    /// The forward pass's producer table for `b`'s trace.
-    fn forward(b: ProgramBuilder) -> Forward {
-        let trace = Emulator::new(&b.build().unwrap()).run().unwrap();
-        Forward::run(trace.records())
     }
 
     #[test]
@@ -553,6 +365,19 @@ mod tests {
     }
 
     #[test]
+    fn zero_register_load_defines_nothing() {
+        let mut b = ProgramBuilder::new("t");
+        b.li(Reg::T0, 7); // 0: feeds only a store that nothing useful reads
+        b.sd(Reg::T0, Reg::SP, -8); // 1: read by a discarded load -> transitive
+        b.ld(Reg::ZERO, Reg::SP, -8); // 2: not eligible, not useful
+        b.halt();
+        let (_, a) = analyze(b);
+        assert_eq!(a.verdict(2), Verdict::NotEligible);
+        assert_eq!(a.verdict(1), Verdict::Dead(DeadKind::Transitive));
+        assert_eq!(a.verdict(0), Verdict::Dead(DeadKind::Transitive));
+    }
+
+    #[test]
     fn call_link_write_is_not_eligible() {
         let mut b = ProgramBuilder::new("t");
         let f = b.label();
@@ -576,30 +401,6 @@ mod tests {
         // The store feeds only a dead load -> transitively dead.
         assert_eq!(a.verdict(1), Verdict::Dead(DeadKind::Transitive));
         assert_eq!(a.verdict(0), Verdict::Dead(DeadKind::Transitive));
-    }
-
-    #[test]
-    fn producers_resolved_exactly() {
-        let mut b = ProgramBuilder::new("t");
-        b.li(Reg::T0, 1); // 0
-        b.li(Reg::T1, 2); // 1
-        b.add(Reg::T2, Reg::T0, Reg::T1); // 2 reads 0 and 1
-        b.out(Reg::T2); // 3 reads 2
-        b.halt();
-        let fwd = forward(b);
-        assert_eq!(fwd.producers(2), &[0, 1]);
-        assert_eq!(fwd.producers(3), &[2]);
-        assert_eq!(fwd.producers(0), &[] as &[u64]);
-    }
-
-    #[test]
-    fn duplicate_source_registers_deduped() {
-        let mut b = ProgramBuilder::new("t");
-        b.li(Reg::T0, 3); // 0
-        b.add(Reg::T1, Reg::T0, Reg::T0); // 1 reads 0 twice
-        b.out(Reg::T1);
-        b.halt();
-        assert_eq!(forward(b).producers(1), &[0]);
     }
 
     #[test]

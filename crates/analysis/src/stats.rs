@@ -39,27 +39,28 @@ impl DeadStats {
     pub fn from_verdicts(trace: &Trace, verdicts: &[Verdict]) -> DeadStats {
         assert_eq!(trace.len(), verdicts.len(), "verdicts must match trace");
         let mut s = DeadStats { total: trace.len() as u64, ..DeadStats::default() };
-        for (r, v) in trace.iter().zip(verdicts) {
-            if v.is_eligible() {
-                s.eligible += 1;
-            }
-            let Some(kind) = v.dead_kind() else { continue };
-            s.dead_total += 1;
-            match kind {
-                DeadKind::RegOverwritten => s.reg_overwritten += 1,
-                DeadKind::RegUnread => s.reg_unread += 1,
-                DeadKind::StoreOverwritten => s.store_overwritten += 1,
-                DeadKind::StoreUnread => s.store_unread += 1,
-                DeadKind::Transitive => s.transitive += 1,
-            }
-            if r.op.is_load() {
-                s.dead_loads += 1;
-            }
-            if r.op.is_store() {
-                s.dead_stores += 1;
-            }
+        for (r, &v) in trace.iter().zip(verdicts) {
+            s.count(v, r.op.is_load(), r.op.is_store());
         }
         s
+    }
+
+    /// Tallies one record's verdict into every counter but `total`;
+    /// `is_load` and `is_store` say what kind of record it was.
+    #[inline]
+    pub(crate) fn count(&mut self, verdict: Verdict, is_load: bool, is_store: bool) {
+        self.eligible += u64::from(verdict.is_eligible());
+        let Some(kind) = verdict.dead_kind() else { return };
+        self.dead_total += 1;
+        match kind {
+            DeadKind::RegOverwritten => self.reg_overwritten += 1,
+            DeadKind::RegUnread => self.reg_unread += 1,
+            DeadKind::StoreOverwritten => self.store_overwritten += 1,
+            DeadKind::StoreUnread => self.store_unread += 1,
+            DeadKind::Transitive => self.transitive += 1,
+        }
+        self.dead_loads += u64::from(is_load);
+        self.dead_stores += u64::from(is_store);
     }
 
     /// Count for one dead kind.

@@ -23,7 +23,8 @@
 //! its own epoch*, which means the exact analysis sees the very same
 //! displacement and read events for it:
 //!
-//! * its `read` flag and first-level hint agree with the exact pass, and
+//! * whether it was read, and its first-level kind, agree with the exact
+//!   analysis, and
 //! * every consumer that read it is intra-epoch (a value cannot be read
 //!   after being fully displaced), so a `Transitive` verdict rests on
 //!   consumers that are themselves streamed-dead — by induction
@@ -32,15 +33,16 @@
 //! Cross-epoch *read edges* are dropped entirely: a read whose producer
 //! lives in an earlier epoch finds that producer already finalized
 //! `Useful`, so the edge can no longer change any verdict. The final epoch
-//! is finalized exactly like the exact pass's end-of-program step, and a
-//! trace that fits in a single epoch is delegated verbatim to
+//! is finalized like the end of the program in the exact analysis (a value
+//! still pending there was never overwritten), and a trace that fits in a
+//! single epoch is delegated verbatim to
 //! [`DeadnessAnalysis::analyze_records`], making the single-epoch streamed
 //! run bit-identical to the materializing path.
 
 use dide_emu::{DynInst, EmuError, Emulator, EmulatorConfig, MemAccess, PagedShadow, TraceChunk};
 use dide_isa::{OpcodeKind, Program, Reg};
 
-use crate::liveness::{DeadnessAnalysis, SeqState};
+use crate::liveness::DeadnessAnalysis;
 use crate::stats::DeadStats;
 use crate::verdict::{DeadKind, Verdict};
 
@@ -181,6 +183,32 @@ impl DeadnessAnalysis {
     }
 }
 
+/// Per-seq forward-pass bookkeeping, packed so that resolving one producer
+/// touches one 16-byte entry (one cache line) instead of three parallel
+/// arrays.
+#[derive(Debug, Clone, Copy)]
+struct SeqState {
+    /// Stamp (seq) of the last consumer that listed this producer — the
+    /// duplicate-producer filter, which keeps a consumer's producer list
+    /// free of repeats without scanning it (per-byte resolution of wide
+    /// loads would make that scan quadratic).
+    last_touch: u64,
+    /// For stores: bytes of the store still visible (not yet overwritten).
+    live_bytes: u32,
+    /// Whether any later instruction read this value.
+    read: bool,
+    /// First-level deadness hint, pending final classification.
+    hint: Option<DeadKind>,
+}
+
+impl SeqState {
+    /// No consumer yet, no visible bytes, unread, no hint. `u64::MAX` is a
+    /// safe stamp sentinel: stamps are consumer seqs, which are dense
+    /// from 0 and bounded by the trace length.
+    const EMPTY: SeqState =
+        SeqState { last_touch: u64::MAX, live_bytes: 0, read: false, hint: None };
+}
+
 /// The carried frontier plus per-epoch scratch of the windowed analysis.
 struct WindowedLiveness {
     // ---- carried across epochs ----
@@ -249,9 +277,9 @@ impl WindowedLiveness {
     fn read_mem(&mut self, base: u64, acc: MemAccess, stamp: u64) {
         let len = acc.width.bytes();
         if !PagedShadow::<u64>::crosses_page(acc.addr, len) {
-            // Fast path mirrors the exact pass: one page resolution per
-            // access, `note_read` body inlined to keep the span borrow
-            // disjoint from the state/producer updates.
+            // Fast path: one page resolution per access, `note_read` body
+            // inlined to keep the span borrow disjoint from the
+            // state/producer updates.
             if let Some(cells) = self.mem_writer.span(acc.addr, len) {
                 for &cell in cells {
                     if cell != 0 && cell > base {
@@ -419,9 +447,9 @@ impl WindowedLiveness {
         // ---- per-epoch backward finalization ----
         let final_epoch = chunk.is_last();
         if final_epoch {
-            // End of program, exactly like the exact pass: register values
-            // still pending were never read. (Writers from earlier epochs
-            // were already finalized when their epoch closed.)
+            // End of program: register values still pending were never
+            // read. (Writers from earlier epochs were already finalized
+            // when their epoch closed.)
             for w in self.reg_writer.iter().flatten().copied() {
                 if w >= base {
                     let st = &mut self.state[(w - base) as usize];
@@ -487,19 +515,7 @@ impl WindowedLiveness {
                 Verdict::Dead(st.hint.expect("unread eligible value must have a kind"))
             };
 
-            self.stats.eligible += u64::from(eligible);
-            if let Verdict::Dead(kind) = verdict {
-                self.stats.dead_total += 1;
-                match kind {
-                    DeadKind::RegOverwritten => self.stats.reg_overwritten += 1,
-                    DeadKind::RegUnread => self.stats.reg_unread += 1,
-                    DeadKind::StoreOverwritten => self.stats.store_overwritten += 1,
-                    DeadKind::StoreUnread => self.stats.store_unread += 1,
-                    DeadKind::Transitive => self.stats.transitive += 1,
-                }
-                self.stats.dead_loads += u64::from(is_load);
-                self.stats.dead_stores += u64::from(is_store);
-            }
+            self.stats.count(verdict, is_load, is_store);
             self.verdicts[r.seq as usize] = verdict;
         }
         self.useful = useful;

@@ -1,12 +1,14 @@
 //! Paged shadow tables: the shared fast-path substrate for byte-addressed
 //! sparse state.
 //!
-//! Both the emulator's data [`Memory`](crate::Memory) (`u8` cells) and the
-//! oracle analysis's last-writer table (`u64` cells, one per byte address)
-//! face the same access pattern: a huge sparse 64-bit address space touched
-//! through small (1–8 byte) accesses with strong spatial locality. The seed
-//! implementations paid one `HashMap` probe *per byte*; a [`PagedShadow`]
-//! pays at most one probe *per access* — and usually none:
+//! The emulator's data [`Memory`](crate::Memory) (`u8` cells), the exact
+//! deadness analysis's liveness bits (`u8` cells, one per byte address) and
+//! the last-writer tables of the windowed analysis and the pipeline (`u64`
+//! cells holding `seq + 1`) all face the same access pattern: a huge sparse
+//! 64-bit address space touched through small (1–8 byte) accesses with
+//! strong spatial locality. The seed implementations paid one `HashMap`
+//! probe *per byte*; a [`PagedShadow`] pays at most one probe *per
+//! access* — and usually none:
 //!
 //! * cells live in lazily allocated 4 KiB-cell pages, so an access that
 //!   stays inside one page (every aligned 1/2/4/8-byte access does) resolves

@@ -242,13 +242,34 @@ mod tests {
 
     #[test]
     fn oversized_loop_iters_is_rejected_not_truncated() {
-        let max = parse_case(&case_text(2, u64::from(u32::MAX))).unwrap();
-        assert_eq!(max.config.loop_iters, u32::MAX);
         // Truncating 2^32 + 1 to 1 would replay a different program and
         // could report the case fixed.
         let err = parse_case(&case_text(2, (1 << 32) + 1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(err.to_string(), "loop_iters = 4294967297 is out of range");
+        // A value the field holds but the generator rejects fails as well.
+        let err = parse_case(&case_text(2, u64::from(u32::MAX))).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("loop_iters must be at most 64"), "{err}");
+    }
+
+    #[test]
+    fn oversized_config_fails_to_load_naming_the_file() {
+        // Unbounded, such cases would load and then panic in the generator
+        // (the scratch area's byte size wraps to 0) or run without end.
+        let slots = "seed = 1\nsegments = 2\nsegment_len = 4\nloop_iters = 1\n\
+                     memory_slots = 2305843009213693952\n";
+        let err = parse_case(slots).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("memory_slots must be at most 4096"), "{err}");
+        let dir = temp_dir("oversized");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(case_filename(1)), case_text(100_000_000, 1)).unwrap();
+        let err = load_corpus(&dir).unwrap_err().to_string();
+        assert!(err.contains(&case_filename(1)), "the error names the file: {err}");
+        assert!(err.contains("segments must be at most 64 (got 100000000)"), "{err}");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,22 +1,25 @@
 //! An independently written reference liveness oracle.
 //!
 //! [`ReferenceOracle`] recomputes the per-instruction deadness verdicts of a
-//! trace with an algorithm deliberately different from
-//! [`dide_analysis::DeadnessAnalysis`]:
+//! trace with code written independently of
+//! [`dide_analysis::DeadnessAnalysis`]. Both classify first-level deadness
+//! in a **reverse scan** that tracks, per architectural register and per
+//! memory byte, the *fate* of the value held there (read next /
+//! overwritten next / untouched until the program ends). What stays
+//! independent:
 //!
-//! * first-level deadness comes from a **reverse scan** that tracks, per
-//!   architectural register and per memory byte, the *fate* of a value
-//!   written at this point (read next / overwritten next / untouched until
-//!   the program ends) — rather than the analysis's forward displacement
-//!   hints;
-//! * usefulness comes from an explicit **worklist BFS** from the observable
-//!   roots over producer edges ([`reference_producers`]) — rather than the
-//!   analysis's single reverse sweep over a flattened producer table.
+//! * **usefulness**: the oracle derives it by an explicit **worklist BFS**
+//!   from the observable roots over producer edges resolved by its own
+//!   forward pass ([`reference_producers`]); the analysis derives it from a
+//!   LIVE bit inside its one reverse sweep and never builds an edge;
+//! * **memory state**: the oracle keeps per-byte `HashMap`s; the analysis
+//!   keeps its bits in a paged byte table, with whole-access span fast
+//!   paths and a byte-at-a-time fallback for page-crossing accesses.
 //!
 //! The two implementations share only the verdict vocabulary
-//! ([`Verdict`]/[`DeadKind`]); every traversal, data structure, and
-//! classification decision is independent, so a bug in either side shows up
-//! as a verdict mismatch in the differential check ([`crate::diff`]).
+//! ([`Verdict`]/[`DeadKind`]), so a bug in either side's usefulness
+//! propagation or byte bookkeeping shows up as a verdict mismatch in the
+//! differential check ([`crate::diff`]).
 //!
 //! Cost is `O(n · regs)` time and `O(n)` space for a trace of `n` dynamic
 //! instructions — deliberately naive; this oracle referees correctness, it
@@ -344,6 +347,30 @@ mod tests {
         let o = ReferenceOracle::analyze(&run(b));
         assert_eq!(o.verdict(1), Verdict::NotEligible);
         assert_eq!(o.verdict(0), Verdict::Dead(DeadKind::Transitive));
+    }
+
+    #[test]
+    fn producers_resolved_exactly() {
+        let mut b = ProgramBuilder::new("t");
+        b.li(Reg::T0, 1); // 0
+        b.li(Reg::T1, 2); // 1
+        b.add(Reg::T2, Reg::T0, Reg::T1); // 2 reads 0 and 1
+        b.out(Reg::T2); // 3 reads 2
+        b.halt();
+        let producers = reference_producers(run(b).records());
+        assert_eq!(producers[2], [0, 1]);
+        assert_eq!(producers[3], [2]);
+        assert_eq!(producers[0], &[] as &[u64]);
+    }
+
+    #[test]
+    fn duplicate_source_registers_deduped() {
+        let mut b = ProgramBuilder::new("t");
+        b.li(Reg::T0, 3); // 0
+        b.add(Reg::T1, Reg::T0, Reg::T0); // 1 reads 0 twice
+        b.out(Reg::T1);
+        b.halt();
+        assert_eq!(reference_producers(run(b).records())[1], [0]);
     }
 
     #[test]

@@ -58,6 +58,11 @@ impl GenConfig {
         }
     }
 
+    /// Largest accepted `segments`, `segment_len` and `loop_iters`.
+    const MAX_SHAPE: u64 = 64;
+    /// Largest accepted `memory_slots`.
+    const MAX_MEMORY_SLOTS: u64 = 4096;
+
     /// Checks that the configuration can generate a valid, terminating
     /// program, returning a description of the first problem found.
     ///
@@ -67,7 +72,12 @@ impl GenConfig {
     /// `segment_len` generate an empty program, zero memory slots leave
     /// loads/stores nowhere legal to touch, and a zero `loop_iters`
     /// would emit loops whose counter starts at zero and counts *down*,
-    /// never terminating.
+    /// never terminating. Every field must also be at most its bound — 64
+    /// for `segments`, `segment_len` and `loop_iters`, 4096 for
+    /// `memory_slots` — which keeps generated programs and their traces
+    /// small and the scratch area's byte size from overflowing. Both
+    /// bounds sit far above anything [`GenConfig::default`] and
+    /// [`GenConfig::derived`] produce.
     pub fn validate(&self) -> Result<(), String> {
         if self.segments == 0 {
             return Err("GenConfig: segments must be at least 1 (got 0)".into());
@@ -84,6 +94,16 @@ impl GenConfig {
                  its counter past zero and never terminate)"
                     .into(),
             );
+        }
+        for (name, value, max) in [
+            ("segments", self.segments as u64, Self::MAX_SHAPE),
+            ("segment_len", self.segment_len as u64, Self::MAX_SHAPE),
+            ("loop_iters", u64::from(self.loop_iters), Self::MAX_SHAPE),
+            ("memory_slots", self.memory_slots as u64, Self::MAX_MEMORY_SLOTS),
+        ] {
+            if value > max {
+                return Err(format!("GenConfig: {name} must be at most {max} (got {value})"));
+            }
         }
         Ok(())
     }
@@ -306,6 +326,31 @@ mod tests {
             let err = cfg.validate().expect_err("zero field must be rejected");
             assert!(err.contains(needle), "error {err:?} should mention {needle:?}");
         }
+    }
+
+    #[test]
+    fn validate_rejects_each_oversized_field_naming_its_bound() {
+        let d = GenConfig::default();
+        for (cfg, message) in [
+            (GenConfig { segments: 65, ..d }, "segments must be at most 64 (got 65)"),
+            (GenConfig { segment_len: 65, ..d }, "segment_len must be at most 64 (got 65)"),
+            (GenConfig { loop_iters: 65, ..d }, "loop_iters must be at most 64 (got 65)"),
+            (
+                GenConfig { memory_slots: 2_305_843_009_213_693_952, ..d },
+                "memory_slots must be at most 4096 (got 2305843009213693952)",
+            ),
+        ] {
+            let err = cfg.validate().expect_err("oversized field must be rejected");
+            assert!(err.ends_with(message), "error {err:?} should end with {message:?}");
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_bounds() {
+        let max = GenConfig { segments: 64, segment_len: 64, loop_iters: 64, memory_slots: 4096 };
+        assert!(max.validate().is_ok());
+        // The largest config generates without overflowing its scratch area.
+        assert!(random_program(5, &max).len() > 64 * 64);
     }
 
     #[test]

@@ -146,17 +146,20 @@ fn campaign_report_names_the_damaged_store_line() {
 #[test]
 fn verify_rejects_a_corpus_case_it_cannot_replay() {
     // An out-of-range field or a config the generator rejects stops the
-    // run before any seed: one line naming the case file.
+    // run before any seed: one line naming the case file. Unbounded, the
+    // oversized configs would panic in the generator or run without end.
     let dir = scratch_dir("corpus");
     let case = dir.join("seed-0000000000000001.case");
     let corpus = dir.to_str().expect("utf-8 temp path");
-    for (loop_iters, segments, fragment) in [
-        ("4294967297", "2", "loop_iters = 4294967297 is out of range"),
-        ("1", "0", "segments must be at least 1"),
+    for (loop_iters, segments, memory_slots, fragment) in [
+        ("4294967297", "2", "4", "loop_iters = 4294967297 is out of range"),
+        ("1", "0", "4", "segments must be at least 1"),
+        ("1", "2", "2305843009213693952", "memory_slots must be at most 4096"),
+        ("1", "100000000", "4", "segments must be at most 64"),
     ] {
         let text = format!(
             "seed = 1\nsegments = {segments}\nsegment_len = 4\nloop_iters = {loop_iters}\n\
-             memory_slots = 4\n"
+             memory_slots = {memory_slots}\n"
         );
         std::fs::write(&case, text).expect("write case");
         assert_one_line_error(

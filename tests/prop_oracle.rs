@@ -40,7 +40,7 @@ proptest! {
         let trace = trace_for(seed);
         let analysis = DeadnessAnalysis::analyze(&trace);
         // Producer edges from the reference oracle's own forward pass: the
-        // analysis keeps only its verdicts.
+        // analysis never builds any.
         let producers = dide_verify::reference_producers(trace.records());
         for r in &trace {
             let v = analysis.verdict(r.seq);

@@ -1,7 +1,7 @@
 //! Differential coverage for the shadow-memory analysis fast paths.
 //!
-//! `DeadnessAnalysis` resolves memory liveness through a paged last-writer
-//! shadow table with whole-access (span) fast paths; the `dide-verify`
+//! `DeadnessAnalysis` keeps per-byte liveness bits in a paged shadow table
+//! (`u8` cells) with whole-access (span) fast paths; the `dide-verify`
 //! reference oracle deliberately keeps the naive per-byte representation.
 //! These tests pin the two implementations together exactly where the fast
 //! paths diverge structurally from the naive code: aliasing-heavy random
